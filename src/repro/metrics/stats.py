@@ -27,7 +27,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise StatsError("cannot take a percentile of zero samples")
     if not 0.0 <= q <= 100.0:
         raise StatsError("percentile must be in [0, 100], got %r" % q)
-    ordered = sorted(values)
+    return _ranked(sorted(values), q)
+
+
+def _ranked(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of already-sorted, non-empty ``ordered``."""
     rank = (len(ordered) - 1) * (q / 100.0)
     low = int(rank)
     high = min(low + 1, len(ordered) - 1)
@@ -70,16 +74,27 @@ class LatencySummary:
 
     @classmethod
     def from_samples(cls, values: Sequence[float]) -> "LatencySummary":
+        """Summarize ``values``: one sort serves all three percentiles.
+
+        The mean sums in input order, so the figures are those of
+        :func:`mean` and :func:`percentile` on the same samples.
+        """
         if not values:
             raise StatsError("cannot summarize zero samples")
+        ordered = sorted(values)
         return cls(
             count=len(values),
             mean_s=mean(values),
-            p50_s=p50(values),
-            p95_s=p95(values),
-            p99_s=p99(values),
+            p50_s=_ranked(ordered, 50.0),
+            p95_s=_ranked(ordered, 95.0),
+            p99_s=_ranked(ordered, 99.0),
             max_s=max(values),
         )
+
+    @classmethod
+    def of(cls, values: Sequence[float]) -> "LatencySummary":
+        """:meth:`from_samples`, or :meth:`empty` for zero samples."""
+        return cls.from_samples(values) if values else cls.empty()
 
     @classmethod
     def empty(cls) -> "LatencySummary":

@@ -20,10 +20,11 @@ per-tenant/per-class latency-waterfall table
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import sub
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.metrics.stats import mean, percentile
-from repro.traffic.slo import RequestOutcome, RequestRecord
+from repro.traffic.slo import RecordRollup, RequestOutcome, RequestRecord
 
 
 class SpanError(ValueError):
@@ -170,39 +171,41 @@ class WaterfallRow:
 
 
 def waterfall_from_records(
-    label: str, records: Sequence[RequestRecord]
+    label: str, records: Union[Sequence[RequestRecord], RecordRollup]
 ) -> List[WaterfallRow]:
     """Exact waterfall rows from retained records, one per class (+ rollup).
 
     Only completed requests contribute stage durations — a dropped request
     has no meaningful waterfall.  With more than one class in play an
-    ``(all)`` rollup row closes the group.
+    ``(all)`` rollup row closes the group.  ``records`` may be a
+    :class:`~repro.traffic.slo.RecordRollup` already built from them.
     """
-    completed = [r for r in records if r.outcome is RequestOutcome.COMPLETED]
-    by_class: Dict[str, List[RequestRecord]] = {}
-    for record in completed:
-        by_class.setdefault(record.request_class, []).append(record)
+    rollup = RecordRollup.of(records)
     rows = [
-        _row_from_records(label, name, mine) for name, mine in sorted(by_class.items())
+        _row(label, name, rollup.stages(name))
+        for name, tally in sorted(rollup.classes.items())
+        if tally.counts[RequestOutcome.COMPLETED]
     ]
     if len(rows) > 1:
-        rows.append(_row_from_records(label, "(all)", completed))
+        rows.append(_row(label, "(all)", rollup.stages()))
     return rows
 
 
-def _row_from_records(
-    label: str, request_class: str, records: Sequence[RequestRecord]
+def _row(
+    label: str, request_class: str, stages: Sequence[Sequence[float]]
 ) -> WaterfallRow:
-    queues = [max(0.0, r.queueing_delay_s - r.cold_start_wait_s) for r in records]
-    colds = [r.cold_start_wait_s for r in records]
-    services = [r.service_s for r in records]
-    totals = [r.latency_s for r in records]
+    """One row from a slice's completed-request stage columns."""
+    queueings, colds, services, totals = stages
+    # ``max(0.0, wait)``: the wait minus any overlapped cold start.
+    queues = [wait if wait > 0.0 else 0.0 for wait in map(sub, queueings, colds)]
+    queue_mean, queue_p95 = mean(queues), percentile(queues, 95.0)
+    del queues  # each stage's samples are freed before the next one's sort
     return WaterfallRow(
         label=label,
         request_class=request_class,
-        completed=len(records),
-        queue_mean_s=mean(queues),
-        queue_p95_s=percentile(queues, 95.0),
+        completed=len(services),
+        queue_mean_s=queue_mean,
+        queue_p95_s=queue_p95,
         cold_mean_s=mean(colds),
         cold_p95_s=percentile(colds, 95.0),
         service_mean_s=mean(services),

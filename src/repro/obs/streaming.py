@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.metrics.stats import LatencySummary
 from repro.obs.sketch import QuantileSketch
 from repro.obs.spans import WaterfallRow
 from repro.traffic.slo import (
@@ -38,14 +37,6 @@ class StageSketches:
     queueing: QuantileSketch = field(default_factory=QuantileSketch)
     service: QuantileSketch = field(default_factory=QuantileSketch)
     cold_wait: QuantileSketch = field(default_factory=QuantileSketch)
-
-    def observe(self, record: RequestRecord) -> None:
-        self.observe_values(
-            record.latency_s,
-            record.queueing_delay_s,
-            record.service_s,
-            record.cold_start_wait_s,
-        )
 
     def observe_values(
         self, latency: float, queueing: float, service: float, cold_wait: float
@@ -84,18 +75,6 @@ class _ClassStats:
     #: Served latency (completed + cached + coalesced) — the stage sketches
     #: stay completed-only so waterfalls keep their backend-stage meaning.
     latency_served: QuantileSketch = field(default_factory=QuantileSketch)
-
-    def observe(self, record: RequestRecord) -> None:
-        self.observe_values(
-            record.outcome,
-            record.served,
-            record.latency_s,
-            record.queueing_delay_s,
-            record.service_s,
-            record.cold_start_wait_s,
-            record.deadline_s,
-            record.deadline_met,
-        )
 
     def observe_values(
         self,
@@ -354,8 +333,3 @@ def _row_from_stages(
         total_mean_s=stages.latency.mean,
         total_p95_s=stages.latency.quantile(0.95),
     )
-
-
-def latency_summary_or_empty(values: Sequence[float]) -> LatencySummary:
-    """``LatencySummary.from_samples`` that tolerates zero samples."""
-    return LatencySummary.from_samples(values) if values else LatencySummary.empty()

@@ -47,6 +47,7 @@ class Telemetry:
         #: pre-federation exposition.
         self.region = region
         self._region_labels = ("region",) if region else ()
+        self._children: Dict[tuple, object] = {}
         reg = self.registry
         self._requests = reg.counter(
             "repro_requests_total",
@@ -105,10 +106,18 @@ class Telemetry:
         )
 
     def _labelled(self, family, **labels):
-        """The family's child for ``labels``, region-qualified when set."""
-        if self.region:
-            labels["region"] = self.region
-        return family.labels(**labels)
+        """The family's child for ``labels``, region-qualified when set.
+
+        Children are memoized per (family, label values): a child never
+        changes once created, and this runs several times per request.
+        """
+        key = (family,) + tuple(labels.values())
+        child = self._children.get(key)
+        if child is None:
+            if self.region:
+                labels["region"] = self.region
+            child = self._children[key] = family.labels(**labels)
+        return child
 
     def _emit(self, payload: Dict[str, object]) -> None:
         """Write one JSONL event, region-stamped when a region is set."""

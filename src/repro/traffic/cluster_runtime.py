@@ -27,6 +27,7 @@ byte-identical to the pre-split engine.
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,7 +44,13 @@ from repro.sim.costs import CostModel
 from repro.sim.ledger import CostCategory, CostLedger
 from repro.traffic.arrivals import Request
 from repro.traffic.autoscaler import Autoscaler, LoadSample
-from repro.traffic.slo import RequestOutcome, RequestRecord, TrafficSummary, summarize
+from repro.traffic.slo import (
+    RecordRollup,
+    RequestOutcome,
+    RequestRecord,
+    TrafficSummary,
+    summarize,
+)
 from repro.traffic.tenants import CapacityArbiter, MultiTenantSummary, NodeUsage, TenantSpec
 from repro.wasm.runtime import RuntimeKind
 from repro.workloads.generators import make_payload
@@ -171,6 +178,18 @@ def _merge_timelines(
         else:
             merged.append((time_s, total))
     return merged
+
+
+def _pool_totals(states: Sequence["_TenantState"]) -> Dict[str, object]:
+    """Pool figures summed over tenant states, as summary keyword arguments."""
+    return dict(
+        cold_starts=sum(state.cold_starts for state in states),
+        cold_start_seconds=sum(state.cold_start_seconds for state in states),
+        replica_timeline=_merge_timelines([state.timeline for state in states]),
+        oom_evictions=sum(state.oom_evictions for state in states),
+        rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
+        cpu_seconds=sum(state.cpu_seconds for state in states),
+    )
 
 
 class ClusterRuntime:
@@ -1041,75 +1060,52 @@ class ClusterRuntime:
 
         states = self.states
         tenants: Dict[str, TrafficSummary] = {}
-        all_records: List[RequestRecord] = []
+        # Each tenant's rollup is folded in as soon as it is summarized:
+        # tenant order is the order the records concatenate in.
+        cluster_rollup = RecordRollup()
         declared_union: List[str] = []
         waterfall: List[WaterfallRow] = []
         retain = self.config.retain_records
         self.records = {}
         for state in states:
             declared_union.extend(state.spec.class_names)
+            facts = dict(
+                mode=state.spec.mode,
+                pattern=state.spec.pattern_name,
+                duration_s=duration,
+                cold_starts=state.cold_starts,
+                cold_start_seconds=state.cold_start_seconds,
+                replica_timeline=state.timeline,
+                declared_classes=state.spec.class_names,
+                oom_evictions=state.oom_evictions,
+                rss_mb_seconds=state.rss_mb_seconds,
+                cpu_seconds=state.cpu_seconds,
+            )
             if retain:
-                state.records.sort(key=lambda record: record.request_id)
+                state.records.sort(key=attrgetter("request_id"))
                 self.records[state.name] = state.records
-                all_records.extend(state.records)
-                tenants[state.name] = summarize(
-                    mode=state.spec.mode,
-                    pattern=state.spec.pattern_name,
-                    duration_s=duration,
-                    records=state.records,
-                    cold_starts=state.cold_starts,
-                    cold_start_seconds=state.cold_start_seconds,
-                    replica_timeline=state.timeline,
-                    declared_classes=state.spec.class_names,
-                    oom_evictions=state.oom_evictions,
-                    rss_mb_seconds=state.rss_mb_seconds,
-                    cpu_seconds=state.cpu_seconds,
-                )
-                waterfall.extend(waterfall_from_records(state.name, state.records))
+                rollup = RecordRollup(state.records)
+                tenants[state.name] = summarize(records=rollup, **facts)
+                waterfall.extend(waterfall_from_records(state.name, rollup))
+                cluster_rollup.fold(rollup)
+                del rollup  # free its columns before the cluster's sorts
             else:
                 self.records[state.name] = []
-                tenants[state.name] = state.stream.summary(
-                    mode=state.spec.mode,
-                    pattern=state.spec.pattern_name,
-                    duration_s=duration,
-                    cold_starts=state.cold_starts,
-                    cold_start_seconds=state.cold_start_seconds,
-                    replica_timeline=state.timeline,
-                    declared_classes=state.spec.class_names,
-                    oom_evictions=state.oom_evictions,
-                    rss_mb_seconds=state.rss_mb_seconds,
-                    cpu_seconds=state.cpu_seconds,
-                )
+                tenants[state.name] = state.stream.summary(**facts)
                 waterfall.extend(state.stream.waterfall(state.name))
+        facts = dict(
+            mode="cluster",
+            pattern="multi-tenant",
+            duration_s=duration,
+            declared_classes=sorted(set(declared_union)),
+            **_pool_totals(states),
+        )
         if retain:
-            cluster = summarize(
-                mode="cluster",
-                pattern="multi-tenant",
-                duration_s=duration,
-                records=all_records,
-                cold_starts=sum(state.cold_starts for state in states),
-                cold_start_seconds=sum(state.cold_start_seconds for state in states),
-                replica_timeline=_merge_timelines([state.timeline for state in states]),
-                declared_classes=sorted(set(declared_union)),
-                oom_evictions=sum(state.oom_evictions for state in states),
-                rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
-                cpu_seconds=sum(state.cpu_seconds for state in states),
-            )
+            cluster = summarize(records=cluster_rollup, **facts)
             if len(states) > 1:
-                waterfall.extend(waterfall_from_records("cluster", all_records))
+                waterfall.extend(waterfall_from_records("cluster", cluster_rollup))
         else:
-            cluster = self._cluster_stream.summary(
-                mode="cluster",
-                pattern="multi-tenant",
-                duration_s=duration,
-                cold_starts=sum(state.cold_starts for state in states),
-                cold_start_seconds=sum(state.cold_start_seconds for state in states),
-                replica_timeline=_merge_timelines([state.timeline for state in states]),
-                declared_classes=sorted(set(declared_union)),
-                oom_evictions=sum(state.oom_evictions for state in states),
-                rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
-                cpu_seconds=sum(state.cpu_seconds for state in states),
-            )
+            cluster = self._cluster_stream.summary(**facts)
             if len(states) > 1:
                 waterfall.extend(self._cluster_stream.waterfall("cluster"))
         self.waterfall = waterfall

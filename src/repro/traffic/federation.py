@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import random
+from operator import attrgetter
 
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -66,7 +67,7 @@ from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.cluster_runtime import (
     ClusterRuntime,
     _measure_service_time,
-    _merge_timelines,
+    _pool_totals,
     _spec_for_mode,
     _TenantState,
 )
@@ -801,13 +802,7 @@ class FederatedTrafficEngine:
         for index, tenant in enumerate(self.tenants):
             states = [region_states[region][index] for region in self.regions]
             aggregates = dict(
-                cold_starts=sum(state.cold_starts for state in states),
-                cold_start_seconds=sum(state.cold_start_seconds for state in states),
-                replica_timeline=_merge_timelines([state.timeline for state in states]),
-                declared_classes=tenant.class_names,
-                oom_evictions=sum(state.oom_evictions for state in states),
-                rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
-                cpu_seconds=sum(state.cpu_seconds for state in states),
+                declared_classes=tenant.class_names, **_pool_totals(states)
             )
             if tenant_streams is not None:
                 out[tenant.name] = tenant_streams[tenant.name].summary(
@@ -819,7 +814,7 @@ class FederatedTrafficEngine:
             else:
                 records = sorted(
                     (record for state in states for record in state.records),
-                    key=lambda record: record.request_id,
+                    key=attrgetter("request_id"),
                 )
                 out[tenant.name] = summarize(
                     mode=tenant.mode,
@@ -843,15 +838,7 @@ class FederatedTrafficEngine:
         declared = sorted(
             {name for tenant in self.tenants for name in tenant.class_names}
         )
-        aggregates = dict(
-            cold_starts=sum(state.cold_starts for state in states),
-            cold_start_seconds=sum(state.cold_start_seconds for state in states),
-            replica_timeline=_merge_timelines([state.timeline for state in states]),
-            declared_classes=declared,
-            oom_evictions=sum(state.oom_evictions for state in states),
-            rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
-            cpu_seconds=sum(state.cpu_seconds for state in states),
-        )
+        aggregates = dict(declared_classes=declared, **_pool_totals(states))
         if cluster_stream is not None:
             return cluster_stream.summary(
                 mode="federation",
@@ -861,7 +848,7 @@ class FederatedTrafficEngine:
             )
         records = sorted(
             (record for state in states for record in state.records),
-            key=lambda record: record.request_id,
+            key=attrgetter("request_id"),
         )
         return summarize(
             mode="federation",

@@ -18,8 +18,10 @@ a zero row, so exports always carry the full class list.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from dataclasses import dataclass
+from itertools import compress
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.metrics.stats import LatencySummary
 
@@ -168,44 +170,159 @@ class ClassSummary:
 
 
 def summarize_classes(
-    records: Sequence["RequestRecord"],
+    records: Union[Sequence[RequestRecord], "RecordRollup"],
     declared: Sequence[str] = (),
 ) -> Tuple[ClassSummary, ...]:
     """Roll records into per-class summaries, sorted by class name.
 
     ``declared`` lists class names that must appear even with zero
     requests, so a quiet class still exports (and round-trips) its row.
+    ``records`` may be a :class:`RecordRollup` already built from them.
     """
-    names = sorted(set(declared) | {record.request_class for record in records})
+    rollup = RecordRollup.of(records)
     summaries = []
-    for name in names:
-        mine = [record for record in records if record.request_class == name]
-        served = [r for r in mine if r.served]
-        with_deadline = [r for r in mine if r.deadline_s is not None]
+    for name in sorted(set(declared) | set(rollup.classes)):
+        tally = rollup.classes.get(name) or _ClassTally(-1)
         summaries.append(
             ClassSummary(
                 name=name,
-                offered=len(mine),
-                completed=sum(1 for r in mine if r.outcome is RequestOutcome.COMPLETED),
-                timed_out=sum(1 for r in mine if r.outcome is RequestOutcome.TIMED_OUT),
-                dropped=sum(1 for r in mine if r.outcome is RequestOutcome.DROPPED),
-                shed=sum(1 for r in mine if r.outcome is RequestOutcome.SHED),
-                cached=sum(1 for r in mine if r.outcome is RequestOutcome.CACHED),
-                coalesced=sum(1 for r in mine if r.outcome is RequestOutcome.COALESCED),
-                rate_limited=sum(
-                    1 for r in mine if r.outcome is RequestOutcome.RATE_LIMITED
-                ),
-                rejected=sum(1 for r in mine if r.outcome is RequestOutcome.REJECTED),
-                deadline_total=len(with_deadline),
-                deadline_met=sum(1 for r in with_deadline if r.deadline_met),
-                latency=(
-                    LatencySummary.from_samples([r.latency_s for r in served])
-                    if served
-                    else LatencySummary.empty()
-                ),
+                offered=sum(tally.counts.values()),
+                deadline_total=tally.deadline_total,
+                deadline_met=tally.deadline_met,
+                latency=LatencySummary.of(rollup.latency_of(name)),
+                **_by_outcome(tally.counts),
             )
         )
     return tuple(summaries)
+
+
+def _by_outcome(counts: Dict[RequestOutcome, int]) -> Dict[str, int]:
+    """Outcome counts as summary fields (each is named by its outcome's value)."""
+    return {outcome.value: counts[outcome] for outcome in RequestOutcome}
+
+
+class _ClassTally:
+    """One class's outcome and deadline counters, and its column index."""
+
+    __slots__ = ("index", "counts", "deadline_total", "deadline_met")
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.counts: Dict[RequestOutcome, int] = dict.fromkeys(RequestOutcome, 0)
+        self.deadline_total = 0
+        self.deadline_met = 0
+
+
+class RecordRollup:
+    """Records reduced in one pass to counters and compact float columns.
+
+    Each record's fields are read once.  Outcomes and deadlines are counted
+    per class; served requests' latencies go to :attr:`latency`, completed
+    requests' stage times to :attr:`queueing`, :attr:`cold`,
+    :attr:`service` and :attr:`total`, all in record order, with each
+    sample's class index beside it.  A class's samples are selected from
+    those columns on demand, so every value is stored once.
+    :meth:`fold` appends another rollup's samples: the result equals the
+    rollup of the concatenated records.
+    """
+
+    def __init__(self, records: Sequence[RequestRecord] = ()) -> None:
+        self.classes: Dict[str, _ClassTally] = {}
+        self.latency = array("d")
+        self.served_class = array("H")
+        self.queueing = array("d")
+        self.cold = array("d")
+        self.service = array("d")
+        self.total = array("d")
+        self.completed_class = array("H")
+        classes = self.classes
+        latencies, served_class = self.latency.append, self.served_class.append
+        queueings, colds = self.queueing.append, self.cold.append
+        services, totals = self.service.append, self.total.append
+        completed_class = self.completed_class.append
+        completed = RequestOutcome.COMPLETED
+        cached = RequestOutcome.CACHED
+        coalesced = RequestOutcome.COALESCED
+        for record in records:
+            outcome = record.outcome
+            tally = classes.get(record.request_class)
+            if tally is None:
+                tally = self._tally(record.request_class)
+            tally.counts[outcome] += 1
+            served = outcome is completed or outcome is cached or outcome is coalesced
+            completion = record.completion_s
+            if record.deadline_s is not None:
+                tally.deadline_total += 1
+                if served and completion <= record.deadline_s:
+                    tally.deadline_met += 1
+            if not served:
+                continue
+            arrival = record.arrival_s
+            latency = completion - arrival
+            latencies(latency)
+            served_class(tally.index)
+            if outcome is completed:
+                dispatch = record.dispatch_s
+                queueings(dispatch - arrival)
+                colds(record.cold_start_wait_s)
+                services(completion - dispatch)
+                totals(latency)
+                completed_class(tally.index)
+
+    @classmethod
+    def of(
+        cls, records: Union[Sequence[RequestRecord], "RecordRollup"]
+    ) -> "RecordRollup":
+        """``records`` itself when already a rollup, else their rollup."""
+        return records if isinstance(records, cls) else cls(records)
+
+    def _tally(self, name: str) -> _ClassTally:
+        tally = self.classes.get(name)
+        if tally is None:
+            tally = self.classes[name] = _ClassTally(len(self.classes))
+        return tally
+
+    def fold(self, other: "RecordRollup") -> None:
+        """Append ``other``'s records after this rollup's."""
+        remap = [self._tally(name).index for name in other.classes]
+        for name, theirs in other.classes.items():
+            tally = self.classes[name]
+            for outcome, count in theirs.counts.items():
+                tally.counts[outcome] += count
+            tally.deadline_total += theirs.deadline_total
+            tally.deadline_met += theirs.deadline_met
+        for column in ("latency", "queueing", "cold", "service", "total"):
+            getattr(self, column).extend(getattr(other, column))
+        self.served_class.extend(map(remap.__getitem__, other.served_class))
+        self.completed_class.extend(map(remap.__getitem__, other.completed_class))
+
+    def counts(self) -> Dict[RequestOutcome, int]:
+        """Requests per outcome, over every class."""
+        totals = dict.fromkeys(RequestOutcome, 0)
+        for tally in self.classes.values():
+            for outcome, count in tally.counts.items():
+                totals[outcome] += count
+        return totals
+
+    def latency_of(self, name: str) -> Sequence[float]:
+        """Served latencies of class ``name``, in record order."""
+        if name not in self.classes:
+            return ()
+        if len(self.classes) == 1:
+            return self.latency
+        selector = map(self.classes[name].index.__eq__, self.served_class)
+        return array("d", compress(self.latency, selector))
+
+    def stages(self, name: Optional[str] = None) -> Tuple[Sequence[float], ...]:
+        """Completed requests' (queueing, cold, service, total) columns.
+
+        All of them, or only class ``name``'s; either way in record order.
+        """
+        columns = (self.queueing, self.cold, self.service, self.total)
+        if name is None or len(self.classes) == 1:
+            return columns
+        selector = bytes(map(self.classes[name].index.__eq__, self.completed_class))
+        return tuple(array("d", compress(column, selector)) for column in columns)
 
 
 @dataclass(frozen=True)
@@ -312,7 +429,7 @@ def summarize(
     mode: str,
     pattern: str,
     duration_s: float,
-    records: Sequence[RequestRecord],
+    records: Union[Sequence[RequestRecord], "RecordRollup"],
     cold_starts: int = 0,
     cold_start_seconds: float = 0.0,
     replica_timeline: Sequence[Tuple[float, int]] = (),
@@ -321,53 +438,35 @@ def summarize(
     rss_mb_seconds: float = 0.0,
     cpu_seconds: float = 0.0,
 ) -> TrafficSummary:
-    """Roll per-request records into one :class:`TrafficSummary`."""
+    """Roll per-request records into one :class:`TrafficSummary`.
+
+    ``records`` may be a :class:`RecordRollup` already built from them.
+    """
     if duration_s <= 0:
         raise SloError("duration must be positive")
-    completed = [r for r in records if r.outcome is RequestOutcome.COMPLETED]
-    served = [r for r in records if r.served]
-    timed_out = sum(1 for r in records if r.outcome is RequestOutcome.TIMED_OUT)
-    dropped = sum(1 for r in records if r.outcome is RequestOutcome.DROPPED)
-    shed = sum(1 for r in records if r.outcome is RequestOutcome.SHED)
+    rollup = RecordRollup.of(records)
+    counts = rollup.counts()
     # End-to-end latency covers everything the client saw served (cache
     # hits and coalesced responses included); queueing and service remain
     # backend-only — middleware-resolved requests never held a replica.
-    if served:
-        latency = LatencySummary.from_samples([r.latency_s for r in served])
-    else:
-        latency = LatencySummary.empty()
-    if completed:
-        queueing = LatencySummary.from_samples([r.queueing_delay_s for r in completed])
-        service = LatencySummary.from_samples([r.service_s for r in completed])
-    else:
-        queueing = service = LatencySummary.empty()
     return TrafficSummary(
         mode=mode,
         pattern=pattern,
         duration_s=duration_s,
-        offered=len(records),
-        completed=len(completed),
-        timed_out=timed_out,
-        dropped=dropped,
-        shed=shed,
-        cached=sum(1 for r in records if r.outcome is RequestOutcome.CACHED),
-        coalesced=sum(1 for r in records if r.outcome is RequestOutcome.COALESCED),
-        rate_limited=sum(
-            1 for r in records if r.outcome is RequestOutcome.RATE_LIMITED
-        ),
-        rejected=sum(1 for r in records if r.outcome is RequestOutcome.REJECTED),
-        latency=latency,
-        queueing=queueing,
-        service=service,
+        offered=sum(counts.values()),
+        latency=LatencySummary.of(rollup.latency),
+        queueing=LatencySummary.of(rollup.queueing),
+        service=LatencySummary.of(rollup.service),
         cold_starts=cold_starts,
         cold_start_seconds=cold_start_seconds,
         replica_seconds=_replica_seconds(replica_timeline, duration_s),
         max_replicas=max((count for _, count in replica_timeline), default=0),
         replica_timeline=tuple(replica_timeline),
-        classes=summarize_classes(records, declared=declared_classes),
+        classes=summarize_classes(rollup, declared=declared_classes),
         oom_evictions=oom_evictions,
         rss_mb_seconds=rss_mb_seconds,
         cpu_seconds=cpu_seconds,
+        **_by_outcome(counts),
     )
 
 

@@ -1,6 +1,8 @@
 """Tests for the shared percentile helpers and latency summaries."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.metrics.stats import LatencySummary, StatsError, mean, p50, p95, p99, percentile
 
@@ -56,3 +58,45 @@ def test_latency_summary_empty():
     assert empty.p99_s == 0.0
     with pytest.raises(StatsError):
         LatencySummary.from_samples([])
+
+
+_samples = st.lists(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60
+)
+
+
+@given(values=_samples)
+def test_from_samples_percentiles_are_bit_identical_to_percentile(values):
+    summary = LatencySummary.from_samples(values)
+    assert summary.p50_s == percentile(values, 50.0)
+    assert summary.p95_s == percentile(values, 95.0)
+    assert summary.p99_s == percentile(values, 99.0)
+    assert summary.max_s == max(values)
+    assert summary.mean_s == mean(values)
+    assert repr(summary.p99_s) == repr(percentile(values, 99.0))
+
+
+def test_from_samples_mean_sums_in_input_order():
+    # In input order 1e16 and -1e16 cancel before 1.0 is added; sorted
+    # order adds 1.0 to -1e16 first and loses it.  (Python 3.12's
+    # compensated ``sum`` gets 1.0 both ways, hence no literal here.)
+    values = [1e16, -1e16, 1.0]
+    summary = LatencySummary.from_samples(values)
+    assert summary.mean_s == sum(values) / len(values)
+    assert summary.mean_s == mean(values)
+
+
+def test_percentile_error_cases_are_kept():
+    with pytest.raises(StatsError):
+        percentile([], 50.0)
+    with pytest.raises(StatsError):
+        percentile([1.0], -0.5)
+    with pytest.raises(StatsError):
+        percentile([1.0], 100.5)
+    assert percentile([1.0, 2.0], 0.0) == 1.0
+    assert percentile([1.0, 2.0], 100.0) == 2.0
+
+
+def test_of_tolerates_zero_samples():
+    assert LatencySummary.of([]) == LatencySummary.empty()
+    assert LatencySummary.of([2.0]) == LatencySummary.from_samples([2.0])
