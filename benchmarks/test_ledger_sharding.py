@@ -1,103 +1,34 @@
-"""Benchmark: sharded cluster ledgers and parallel multi-node simulation.
+"""Benchmark: whole-run parallelism across worker processes.
 
-Not a paper figure — the scale-out regression gate for the ledger-sharding
-refactor.  The assertions pin the two properties the refactor must keep:
+Not a paper figure — the scale-out regression gate for comparisons.  Each
+simulation runs its events serially; what parallelizes is a comparison of
+independent runs (``run_comparison`` over several runtimes, the
+``--parallel-nodes`` CLI path), where every mode's whole cluster
+simulation — its own cluster, per-node ledger shards and clock — runs in
+its own worker process.  The assertions pin two properties:
 
-* **Determinism across execution strategies.**  A 4-node multi-tenant run
-  with ``parallel_nodes`` (worker-process service measurements + concurrent
-  per-node completion phases over the per-node ledger shards) produces
-  per-tenant, per-class and per-node summaries — and the exported figure
-  bytes — identical to the serial shared-timeline run under the same seeds.
-  The same holds for a mode comparison where each mode's whole cluster
-  simulation runs in its own worker process.
+* **Determinism across execution strategies.**  The process-parallel
+  comparison's summaries are value-identical to the serial comparison
+  under the same seeds.
 
-* **No wall-clock regression.**  Parallel execution must not cost more
-  than a small constant overhead versus serial; on multi-core hosts the
-  process-parallel comparison runs concurrently and comes in at or below
-  the serial time (the assertion keeps a noise band so single-core CI,
-  where the pool deliberately degrades to the serial path, stays green).
+* **No wall-clock regression.**  On multi-core hosts the process-parallel
+  comparison runs concurrently and comes in at or below the serial time
+  plus a fixed pool overhead; single-core CI, where the pool deliberately
+  degrades to the serial path, keeps a noise band.
 """
 
 import os
 import time
 
-import pytest
-
-from repro.metrics.export import figure_to_csv, multi_tenant_to_figure, node_usage_to_figure
-from repro.traffic.arrivals import BurstyArrivals, PoissonArrivals
-from repro.traffic.engine import MultiTenantTrafficEngine, TrafficConfig, run_comparison
-from repro.traffic.tenants import TenantSpec
+from repro.traffic.arrivals import PoissonArrivals
+from repro.traffic.engine import run_comparison
 
 DURATION_S = 20.0
-NODES = 4
 
 #: Parallel may not exceed serial by more than this factor.  On a
 #: single-core host both paths execute the same serial code, so this is a
 #: pure noise band; on multi-core hosts parallel should land at or below 1.
 NO_REGRESSION_FACTOR = 1.25
-
-#: Fixed parallel machinery cost (thread-phase handoffs, worker-pool IPC
-#: for the service-time prefill) tolerated on top of the ratio band.  The
-#: dispatch rework shrank this scenario's serial wall-clock severalfold,
-#: so the ~25 ms constant overhead no longer fits inside 25% of serial;
-#: a genuine O(events) regression still trips the combined bound.
-PARALLEL_OVERHEAD_GRACE_S = 0.1
-
-
-def _tenants():
-    return [
-        TenantSpec(
-            name="steady",
-            mode="roadrunner-user",
-            weight=2,
-            arrivals=PoissonArrivals(
-                rate_rps=60.0, duration_s=DURATION_S, function="steady",
-                payload_mb=1.0, seed=7,
-            ),
-        ),
-        TenantSpec(
-            name="noisy",
-            mode="runc-http",
-            weight=1,
-            arrivals=BurstyArrivals(
-                on_rate_rps=150.0, duration_s=DURATION_S, on_s=4.0, off_s=6.0,
-                function="noisy", payload_mb=2.0, seed=8,
-            ),
-        ),
-    ]
-
-
-def _timed_multi_tenant_run(parallel: bool):
-    engine = MultiTenantTrafficEngine(
-        _tenants(),
-        config=TrafficConfig(nodes=NODES, parallel_nodes=parallel),
-    )
-    start = time.perf_counter()
-    summary = engine.run()
-    return summary, time.perf_counter() - start
-
-
-def test_parallel_four_node_run_matches_serial_bit_for_bit():
-    serial, serial_wall = _timed_multi_tenant_run(parallel=False)
-    parallel, parallel_wall = _timed_multi_tenant_run(parallel=True)
-
-    # Summaries are value-identical, and the exported artefacts byte-equal.
-    assert parallel == serial
-    assert figure_to_csv(multi_tenant_to_figure(parallel)) == figure_to_csv(
-        multi_tenant_to_figure(serial)
-    )
-    assert figure_to_csv(node_usage_to_figure(parallel)) == figure_to_csv(
-        node_usage_to_figure(serial)
-    )
-    # Every node shard shows up in the rollup (plus the cluster shard).
-    assert len(parallel.nodes) == NODES + 1
-
-    assert (
-        parallel_wall <= serial_wall * NO_REGRESSION_FACTOR + PARALLEL_OVERHEAD_GRACE_S
-    ), (
-        "parallel 4-node run regressed wall-clock: %.3fs vs serial %.3fs"
-        % (parallel_wall, serial_wall)
-    )
 
 
 def test_process_parallel_mode_comparison_matches_serial():

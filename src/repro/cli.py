@@ -19,10 +19,9 @@ Commands
               ``--compare-policies`` run the same seeded arrivals under
               several scaling policies and print/export the comparison;
               with ``--trace-file`` replay an Azure Functions invocations-
-              per-minute trace; with ``--parallel-nodes`` simulate the
-              cluster's nodes in parallel over sharded per-node ledgers
-              (identical results, better wall-clock on multi-node
-              workloads).
+              per-minute trace; with ``--parallel-nodes`` run compared
+              runs (``--modes``, ``--compare-policies``) in worker
+              processes (identical results; each run is itself serial).
 """
 
 from __future__ import annotations
@@ -318,7 +317,6 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         nodes=args.nodes,
         initial_replicas=args.initial_replicas,
         queue_timeout_s=args.timeout,
-        parallel_nodes=args.parallel_nodes,
         retain_records=not args.sketch_mode,
         node_memory_mb=args.node_memory_mb,
         replica_rss_mb=args.replica_rss_mb,
@@ -730,12 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--nodes", type=int, default=4)
     traffic.add_argument(
         "--parallel-nodes", action="store_true",
-        help="simulate in parallel over the sharded per-node ledgers: "
-        "service-time measurements and whole compared runs (--modes, "
-        "--compare-policies) execute in worker processes, and node-local "
-        "completion phases run through the partitioned event loop; "
-        "summaries and figures are identical to a serial run under the "
-        "same seeds",
+        help="run compared runs (--modes, --compare-policies) in worker "
+        "processes, one whole simulation per process; each run is still "
+        "serial, and summaries and figures are identical to a serial "
+        "comparison under the same seeds",
     )
     traffic.add_argument("--timeout", type=float, default=30.0, help="queueing timeout per request")
     traffic.add_argument(

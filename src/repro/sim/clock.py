@@ -49,9 +49,9 @@ class SimClock:
     def fork(self) -> "SimClock":
         """An independent clock starting at this clock's current time.
 
-        Parallel node simulation gives each worker a forked clock so nodes
-        advance without sharing (and contending on) one timeline; the
-        partitions re-synchronize at cross-node boundaries via
+        A worker filling a detached ledger shard takes a forked clock so
+        it advances without sharing (and contending on) one timeline; the
+        clocks re-synchronize when the shard merges back, via
         :meth:`sync_to`.
         """
         return SimClock(start=self._now)

@@ -1,4 +1,4 @@
-"""Discrete-event loops plus a parallel-track makespan helper.
+"""Discrete-event loop, a process-level parallel map and a makespan helper.
 
 Most of the reproduction is sequential accounting on a shared ledger, but
 several places need genuine concurrency semantics:
@@ -7,19 +7,17 @@ several places need genuine concurrency semantics:
   N targets and the runtimes differ in how much of that work can overlap;
 * the network link, where transmissions from different connections share
   bandwidth;
-* multi-node simulation, where per-node work charges per-node ledger shards
-  and whole nodes can execute concurrently on the host.
+* whole-run comparisons (runtimes, scaling policies), where independent
+  simulations can run side by side on the host.
 
-:class:`EventLoop` is a classic time-ordered event queue.
-:class:`PartitionedEventLoop` extends it with node partitions: events tagged
-with a partition run their node-local stage concurrently (thread phases)
-while cross-node boundaries — gateway dispatch, network transfers, anything
-scheduled on the global partition — stay serialized in exact time order, so
-a parallel run is event-for-event identical to a serial one.  For fan-out we
-use the simpler :class:`ParallelTracks` helper, which computes the makespan
-of N per-branch duration profiles under a bounded concurrency model — this
-mirrors how a 4-core node executes N sandboxes, or how a single-threaded
-Wasm VM serialises all branches.
+:class:`EventLoop` is a classic time-ordered event queue; every simulation
+runs its events serially in exact ``(time, order)`` order.  Independent
+simulations parallelize across worker processes through
+:func:`parallel_map`.  For fan-out we use the simpler
+:class:`ParallelTracks` helper, which computes the makespan of N per-branch
+duration profiles under a bounded concurrency model — this mirrors how a
+4-core node executes N sandboxes, or how a single-threaded Wasm VM
+serialises all branches.
 """
 
 from __future__ import annotations
@@ -28,13 +26,10 @@ import atexit
 import heapq
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
-
-#: Partition label of events that must run serialized (cross-node work).
-GLOBAL_PARTITION = ""
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
 class EngineError(RuntimeError):
@@ -45,13 +40,6 @@ class EngineError(RuntimeError):
 class Event:
     """An event scheduled at an absolute simulated time.
 
-    ``action`` may return a callable: a *join* executed at the same event
-    slot.  In a serial run the join fires immediately after the action; in a
-    partitioned run the node-local action may have run early (concurrently)
-    while the join is still executed at the event's exact place in the
-    global time order — that split is what lets whole nodes simulate in
-    parallel without reordering any cross-node effect.
-
     ``args`` are passed positionally to ``action`` when the event fires.
     Hot callers schedule one shared function with per-event ``args`` instead
     of allocating a closure per event.
@@ -61,7 +49,6 @@ class Event:
     order: int
     action: Callable[..., Any]
     label: str = ""
-    partition: str = GLOBAL_PARTITION
     args: Tuple = ()
 
 
@@ -110,53 +97,38 @@ class EventLoop:
         delay: float,
         action: Callable[..., Any],
         label: str = "",
-        partition: str = GLOBAL_PARTITION,
         args: Tuple = (),
     ) -> Event:
         """Schedule ``action`` to run ``delay`` seconds from the current time."""
         if delay < 0:
             raise EngineError("cannot schedule an event in the past (delay=%r)" % delay)
-        return self.schedule_at(
-            self._now + delay, action, label=label, partition=partition, args=args
-        )
+        return self.schedule_at(self._now + delay, action, label=label, args=args)
 
     def schedule_at(
         self,
         time: float,
         action: Callable[..., Any],
         label: str = "",
-        partition: str = GLOBAL_PARTITION,
         args: Tuple = (),
         order: Optional[int] = None,
     ) -> Event:
         """Schedule ``action`` at absolute time ``time``.
 
         ``order`` pins an explicit tie-break slot previously obtained from
-        :meth:`reserve_orders`; by default the next slot is taken.
+        :meth:`reserve_orders`; by default the next slot is taken.  A NaN
+        time is refused like a past one: it compares false against every
+        heap entry and would silently corrupt the queue's order.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise EngineError(
                 "cannot schedule an event at t=%r before now=%r" % (time, self._now)
             )
         if order is None:
             order = self._order
             self._order += 1
-        event = Event(
-            time=time,
-            order=order,
-            action=action,
-            label=label,
-            partition=partition,
-            args=args,
-        )
+        event = Event(time=time, order=order, action=action, label=label, args=args)
         heapq.heappush(self._queue, (time, order, event))
         return event
-
-    def _execute(self, event: Event) -> None:
-        """Run one event in place: its action, then any join it returned."""
-        result = event.action(*event.args)
-        if callable(result):
-            result()
 
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue drains or ``until`` is reached.
@@ -171,9 +143,7 @@ class EventLoop:
                 return self._now
             time, _, event = pop(queue)
             self._now = time
-            result = event.action(*event.args)
-            if callable(result):
-                result()
+            event.action(*event.args)
             self._executed += 1
         if until is not None and until > self._now:
             self._now = until
@@ -185,7 +155,7 @@ class EventLoop:
             return None
         time, _, event = heapq.heappop(self._queue)
         self._now = time
-        self._execute(event)
+        event.action(*event.args)
         self._executed += 1
         return event
 
@@ -194,99 +164,14 @@ class EventLoop:
 
 
 class PartitionedEventLoop(EventLoop):
-    """An event loop whose node-partitioned events can execute concurrently.
+    """The event loop the traffic drivers run on.
 
-    Events scheduled with a non-empty ``partition`` (a node name) promise
-    that their *action* touches only state owned by that partition — per-node
-    ledger shards, per-replica bookkeeping — plus values captured at schedule
-    time.  Cross-node effects go into the *join* the action returns, or into
-    events on the global partition.
-
-    ``run_parallel`` pops maximal runs of consecutive events that sit on
-    distinct node partitions, executes their node-local actions concurrently
-    in a thread phase, then re-enqueues each event's join at its original
-    ``(time, order)`` slot.  Joins and global events therefore interleave in
-    exactly the serial order — a parallel run is deterministic and produces
-    results identical to :meth:`run` — while node-local work (and its ledger
-    charges, which land on per-node shards) overlaps across host threads.
-    A global event is the synchronization boundary: batch collection stops
-    there, mirroring how gateway dispatch and network transfers serialize
-    cross-node state.
+    Behaviourally identical to :class:`EventLoop`: every event executes
+    serially, in exact ``(time, order)`` order.  The subclass exists as a
+    named patch point, so host-time tracing can wrap the traffic engine's
+    loop (its ``run`` and ``schedule_at``) without touching the base
+    :class:`EventLoop`.
     """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__()
-        self.max_workers = max_workers
-        self.parallel_batches = 0
-
-    def _collect_batch(self, until: Optional[float]) -> List[Event]:
-        """Pop a maximal run of same-phase events on distinct partitions."""
-        batch: List[Event] = []
-        seen = set()
-        while self._queue:
-            head = self._queue[0][2]
-            if until is not None and head.time > until:
-                break
-            if head.partition == GLOBAL_PARTITION or head.partition in seen:
-                break
-            batch.append(heapq.heappop(self._queue)[2])
-            seen.add(head.partition)
-        return batch
-
-    def run_parallel(self, until: Optional[float] = None) -> float:
-        """Like :meth:`run`, with node partitions executing in thread phases."""
-        workers = self.max_workers or min(32, os.cpu_count() or 1)
-        pool: Optional[ThreadPoolExecutor] = None
-        try:
-            while self._queue:
-                if until is not None and self._queue[0][0] > until:
-                    self._now = until
-                    return self._now
-                batch = self._collect_batch(until)
-                if not batch:
-                    _, _, event = heapq.heappop(self._queue)
-                    self._now = event.time
-                    self._execute(event)
-                    self._executed += 1
-                    continue
-                if len(batch) == 1:
-                    event = batch[0]
-                    self._now = event.time
-                    self._execute(event)
-                    self._executed += 1
-                    continue
-                if pool is None:
-                    pool = ThreadPoolExecutor(max_workers=workers)
-                self.parallel_batches += 1
-                joins = list(pool.map(lambda event: event.action(*event.args), batch))
-                # Re-enqueue each event's join at its original slot so joins
-                # interleave with later (and newly scheduled) global events
-                # in exactly the serial order.
-                for event, join in zip(batch, joins):
-                    heapq.heappush(
-                        self._queue,
-                        (
-                            event.time,
-                            event.order,
-                            Event(
-                                time=event.time,
-                                order=event.order,
-                                action=join if callable(join) else _noop,
-                                label=event.label,
-                                partition=GLOBAL_PARTITION,
-                            ),
-                        ),
-                    )
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
-
-
-def _noop() -> None:
-    return None
 
 
 #: Long-lived worker pool shared by every default-sized :func:`parallel_map`

@@ -18,6 +18,11 @@ is now a thin driver over one runtime; the federation layer
 (:mod:`repro.traffic.federation`) instantiates several over one shared
 :class:`~repro.sim.engine.PartitionedEventLoop` behind a global router.
 
+Service times are calibrated lazily: the first dispatch of a (mode,
+payload size) runs :func:`_measure_service_time` once and stores it in the
+``service_cache`` the driver passes in, which several runtimes (regions,
+repeated runs, compared policies) may share.
+
 The request path is deliberately closure-based: every hot name is bound
 once per run into local cells (the million-request regime pays for every
 attribute chase), and the extraction keeps single-cluster runs
@@ -68,9 +73,10 @@ MB = 1024 * 1024
 def _measure_service_time(mode: str, payload_bytes: int, cost_model: CostModel) -> float:
     """Workflow latency of one (mode, payload size): one isolated simulation.
 
-    Module-level (and self-contained: fresh cluster, fresh ledger shards,
-    fresh clock) so worker processes can run measurements concurrently for
-    the parallel-nodes path; the result is deterministic either way.
+    The measurement invokes the canonical two-function chain through a
+    fresh isolated environment (own cluster, ledger shards and clock) —
+    the same path every figure in the reproduction uses — so the result is
+    deterministic and :meth:`ClusterRuntime.dispatch` caches it per key.
     """
     setup = build_pair_setup(mode, cost_model=cost_model)
     payload = make_payload(payload_bytes / MB)
@@ -212,7 +218,6 @@ class ClusterRuntime:
         oversubscription: float,
         clock,
         loop,
-        service_time: Callable[[str, int], float],
         service_cache: Dict[Tuple[str, int], float],
         counter: List[int],
         total_requests: int,
@@ -310,7 +315,7 @@ class ClusterRuntime:
         retain = config.retain_records
         queue = gateway.queue
         per_replica_concurrency = config.per_replica_concurrency
-        parallel_nodes = config.parallel_nodes
+        cost_model = config.cost_model
         max_queue = config.max_queue
         queue_timeout_s = config.queue_timeout_s
         cores = {name: cluster.node(name).cores for name in cluster.nodes}
@@ -331,10 +336,9 @@ class ClusterRuntime:
 
             The single funnel for all four outcome paths — retained as a
             record or folded into the streaming accumulators, counted down,
-            and fanned out to the telemetry sinks.  Always called from a
-            serialized context (the join stage for completions; arrivals,
-            expiries and sheds are never node-partitioned), so sketch
-            updates and telemetry stay deterministic under parallel nodes.
+            and fanned out to the telemetry sinks.  Events run one at a
+            time in exact time order, so sketch updates and telemetry are
+            deterministic.
             """
             if retain:
                 state.records.append(record)
@@ -451,15 +455,13 @@ class ClusterRuntime:
         def evict_over_budget(now: float) -> None:
             """Kill the coldest idle replica on every node over its budget.
 
-            Runs only from serialized stages (scale-ups are never
-            node-partitioned), so the eviction order is deterministic: per
-            over-budget node, the idle warm replica with the smallest
-            ``idle_since`` goes first, ties broken by tenant registration
-            order and then replica name.  A node whose budget excess is
-            pinned by busy replicas stays over budget — nothing to kill —
-            and pays through service-time inflation instead.  Each eviction
-            is a forced future cold start: the tenant's next scale-up pays
-            the full warm-up again.
+            The eviction order is deterministic: per over-budget node, the
+            idle warm replica with the smallest ``idle_since`` goes first,
+            ties broken by tenant registration order and then replica name.
+            A node whose budget excess is pinned by busy replicas stays over
+            budget — nothing to kill — and pays through service-time
+            inflation instead.  Each eviction is a forced future cold start:
+            the tenant's next scale-up pays the full warm-up again.
             """
             while True:
                 evicted = False
@@ -488,15 +490,33 @@ class ClusterRuntime:
                 if not evicted:
                     return
 
-        def finish_completion(
+        def complete_event(
             state: _TenantState,
-            record: RequestRecord,
+            request: Request,
             replica: _Replica,
             loser: Optional[_Replica],
+            dispatched: float,
             completion: float,
+            cold_wait: float,
         ) -> None:
-            # Cross-node stage, serialized in exact time order: gateway
-            # bookkeeping and re-dispatch.
+            """One request's completion: free its replica, account, re-dispatch.
+
+            One shared function fed per-event ``args`` (captured at
+            dispatch), so no closure is allocated per request.  A hedged
+            request also frees its losing attempt's replica here.
+            """
+            record = RequestRecord(
+                request_id=request.request_id,
+                function=state.function,
+                outcome=RequestOutcome.COMPLETED,
+                arrival_s=request.arrival_s,
+                dispatch_s=dispatched,
+                completion_s=completion,
+                replica=replica.deployed.name,
+                cold_start_wait_s=cold_wait,
+                request_class=request.request_class,
+                deadline_s=request.deadline_s,
+            )
             gateway.release_state(state.function, replica.gw_state)
             node_busy[replica.node] -= 1
             replica.idle_since = completion
@@ -514,31 +534,6 @@ class ClusterRuntime:
                     state.cpu_seconds += record.service_s
             resolve(state, record, node=replica.node)
             dispatch(loop.now)
-
-        def complete_event(
-            state: _TenantState,
-            request: Request,
-            replica: _Replica,
-            loser: Optional[_Replica],
-            dispatched: float,
-            completion: float,
-            cold_wait: float,
-        ) -> None:
-            # Serial completion path: one shared function fed per-event
-            # ``args`` — no closure pair allocated per request.
-            record = RequestRecord(
-                request_id=request.request_id,
-                function=state.function,
-                outcome=RequestOutcome.COMPLETED,
-                arrival_s=request.arrival_s,
-                dispatch_s=dispatched,
-                completion_s=completion,
-                replica=replica.deployed.name,
-                cold_start_wait_s=cold_wait,
-                request_class=request.request_class,
-                deadline_s=request.deadline_s,
-            )
-            finish_completion(state, record, replica, loser, completion)
 
         def dispatch(now: float) -> None:
             """Move queued requests onto available replicas.
@@ -572,7 +567,12 @@ class ClusterRuntime:
                     key = (state.spec.mode, request.payload_bytes)
                     service = service_cache.get(key)
                     if service is None:
-                        service = service_time(key[0], key[1])
+                        # First request of this (mode, payload): calibrate
+                        # once; every later one (and every region sharing
+                        # the cache) reuses the measurement.
+                        service = service_cache[key] = _measure_service_time(
+                            key[0], key[1], cost_model
+                        )
                     if (
                         request.hard
                         and request.deadline_s is not None
@@ -659,56 +659,12 @@ class ClusterRuntime:
                     cold_wait = max(0.0, min(replica.cold_s, replica.ready_at - request.arrival_s))
                     note(completion)
 
-                    if parallel_nodes:
-                        # Parallel nodes need the action/join split: the
-                        # record is built node-locally (concurrently), the
-                        # gateway bookkeeping joins in global time order.
-                        # Both paths produce the identical record.
-                        def complete(
-                            state: _TenantState = state,
-                            request: Request = request,
-                            replica: _Replica = replica,
-                            loser: Optional[_Replica] = loser,
-                            dispatched: float = now,
-                            completion: float = completion,
-                            cold_wait: float = cold_wait,
-                        ):
-                            # Node-local stage: build the completion record
-                            # from values captured at dispatch, charging
-                            # (and touching) nothing shared.
-                            record = RequestRecord(
-                                request_id=request.request_id,
-                                function=state.function,
-                                outcome=RequestOutcome.COMPLETED,
-                                arrival_s=request.arrival_s,
-                                dispatch_s=dispatched,
-                                completion_s=completion,
-                                replica=replica.deployed.name,
-                                cold_start_wait_s=cold_wait,
-                                request_class=request.request_class,
-                                deadline_s=request.deadline_s,
-                            )
-
-                            def join() -> None:
-                                finish_completion(
-                                    state, record, replica, loser, completion
-                                )
-
-                            return join
-
-                        loop.schedule_at(
-                            completion,
-                            complete,
-                            label="complete",
-                            partition=replica.node,
-                        )
-                    else:
-                        loop.schedule_at(
-                            completion,
-                            complete_event,
-                            label="complete",
-                            args=(state, request, replica, loser, now, completion, cold_wait),
-                        )
+                    loop.schedule_at(
+                        completion,
+                        complete_event,
+                        label="complete",
+                        args=(state, request, replica, loser, now, completion, cold_wait),
+                    )
                     served = True
                     break  # re-evaluate fair order after every dispatch
                 if not served:

@@ -28,19 +28,15 @@ modelled by the engine's concurrency bounds rather than by re-simulating
 every transfer, which keeps hundred-thousand-request runs cheap.
 
 Everything is driven by one
-:class:`~repro.sim.engine.PartitionedEventLoop`, so a seeded run is exactly
-reproducible: same arrivals, same scaling decisions, same percentiles.
-Cost accounting is sharded per node (each node of the serving cluster
-charges its own :class:`~repro.sim.ledger.NodeLedger`), and with
-``parallel_nodes`` the engine exploits that: per-node completion work runs
-in concurrent thread phases between cross-node synchronization points
-(gateway dispatch), the per-(mode, payload) service-time measurements —
-each an isolated simulation — are computed in parallel worker processes
-up front, and whole compared runs (:func:`run_comparison`,
-:func:`~repro.traffic.policies.compare_scaling_policies`) ship entire
-cluster simulations to worker processes, which is where multi-core hosts
-win their wall-clock.  A parallel run produces summaries and figures
-identical to the serial one under the same seeds.
+:class:`~repro.sim.engine.PartitionedEventLoop` whose events run serially,
+so a seeded run is exactly reproducible: same arrivals, same scaling
+decisions, same percentiles.  Cost accounting is sharded per node (each
+node of the serving cluster charges its own
+:class:`~repro.sim.ledger.NodeLedger`).  Parallelism lives at the whole-run
+level: compared runs (:func:`run_comparison`,
+:func:`~repro.traffic.policies.compare_scaling_policies`) can ship entire
+cluster simulations to worker processes, with results identical to the
+serial comparison under the same seeds.
 """
 
 from __future__ import annotations
@@ -126,10 +122,6 @@ class TrafficConfig:
     #: Load-balancer policy at the gateway.
     routing: RoutingPolicy = RoutingPolicy.LEAST_LOADED
     cost_model: CostModel = DEFAULT_COST_MODEL
-    #: Simulate nodes in parallel: pre-measure service times in worker
-    #: processes and run per-node completion phases concurrently.  Results
-    #: are identical to a serial run under the same seeds.
-    parallel_nodes: bool = False
     #: Keep one RequestRecord per request (exact percentiles, O(requests)
     #: memory).  False switches the engine to streaming accumulators and P²
     #: quantile sketches: summaries keep their shape, memory stays constant.
@@ -307,14 +299,6 @@ class MultiTenantTrafficEngine:
         #: Latency-waterfall rows of the last run (per tenant + cluster).
         self.waterfall: List[WaterfallRow] = []
         self._cluster_stream: Optional[StreamingTrafficStats] = None
-        #: Memoized (mode, payload) key sets per tenant spec, so repeated
-        #: runs of one engine skip re-scanning every request to learn which
-        #: service times to pre-measure.  Keyed by spec identity (the stored
-        #: spec reference keeps the id stable); sound because a spec's
-        #: seeded generation always yields the same payload set.
-        self._tenant_keys_cache: Dict[int, Tuple[TenantSpec, frozenset]] = {}
-        #: How many key-set derivations actually ran (tests pin the memo).
-        self.prefill_key_derivations = 0
 
     # -- public API -----------------------------------------------------------------
 
@@ -351,9 +335,6 @@ class MultiTenantTrafficEngine:
             else:
                 self._cluster_stream = StreamingTrafficStats()
         telemetry = self.telemetry
-        if self.config.parallel_nodes:
-            self._prefill_service_cache(states)
-
         self.clock.reset()
         loop = PartitionedEventLoop()
         counter = [total_requests]
@@ -366,7 +347,6 @@ class MultiTenantTrafficEngine:
             oversubscription=self.oversubscription,
             clock=self.clock,
             loop=loop,
-            service_time=self._service_time,
             service_cache=self._service_cache,
             counter=counter,
             total_requests=total_requests,
@@ -387,10 +367,7 @@ class MultiTenantTrafficEngine:
         runtime.bootstrap(self.config.initial_replicas)
         schedule_arrivals(loop, states, runtime.admit, total_requests)
         runtime.start_ticks()
-        if self.config.parallel_nodes:
-            loop.run_parallel()
-        else:
-            loop.run()
+        loop.run()
 
         if counter[0] != 0:
             raise TrafficEngineError(
@@ -413,54 +390,6 @@ class MultiTenantTrafficEngine:
         self.records = runtime.records
         self.waterfall = runtime.waterfall
         return summary
-
-    # -- service times ---------------------------------------------------------------
-
-    def _service_time(self, mode: str, payload_bytes: int) -> float:
-        """Workflow latency for one (mode, payload size), measured once and cached.
-
-        The measurement invokes the canonical two-function chain through a
-        fresh isolated environment for the tenant's mode — the same path
-        every figure in the reproduction uses.
-        """
-        key = (mode, payload_bytes)
-        cached = self._service_cache.get(key)
-        if cached is None:
-            cached = _measure_service_time(mode, payload_bytes, self.config.cost_model)
-            self._service_cache[key] = cached
-        return cached
-
-    def _prefill_service_cache(self, states: Sequence[_TenantState]) -> None:
-        """Measure every (mode, payload) the run will need, in parallel.
-
-        Each measurement is an isolated simulation (own cluster, own ledger
-        shards, own clock), so worker processes compute them concurrently
-        and deterministically.  The win scales with the number of distinct
-        (mode, payload) pairs the tenants exercise; runs dominated by the
-        event loop itself parallelize at the whole-run level instead
-        (:func:`run_comparison` / ``compare_scaling_policies``).
-        """
-        wanted: set = set()
-        for state in states:
-            cached = self._tenant_keys_cache.get(id(state.spec))
-            if cached is not None and cached[0] is state.spec:
-                wanted |= cached[1]
-                continue
-            keys = frozenset(
-                (state.spec.mode, request.payload_bytes) for request in state.requests
-            )
-            self._tenant_keys_cache[id(state.spec)] = (state.spec, keys)
-            self.prefill_key_derivations += 1
-            wanted |= keys
-        needed = sorted(wanted - set(self._service_cache))
-        if not needed:
-            return
-        results = parallel_map(
-            _measure_service_time,
-            [(mode, payload_bytes, self.config.cost_model) for mode, payload_bytes in needed],
-        )
-        for key, value in zip(needed, results):
-            self._service_cache[key] = value
 
 
 def _ordered_requests(requests: Sequence[Request]) -> Tuple[Request, ...]:

@@ -43,6 +43,7 @@ this).
 from __future__ import annotations
 
 import json
+import math
 import random
 from operator import attrgetter
 
@@ -61,12 +62,11 @@ from typing import (
 from repro.net.topology import Topology
 from repro.platform.gateway import FairnessPolicy, IntraTenantOrder
 from repro.sim.clock import SimClock
-from repro.sim.engine import PartitionedEventLoop, parallel_map
+from repro.sim.engine import PartitionedEventLoop
 from repro.traffic.arrivals import Request
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.cluster_runtime import (
     ClusterRuntime,
-    _measure_service_time,
     _pool_totals,
     _spec_for_mode,
     _TenantState,
@@ -213,9 +213,16 @@ def parse_fail_spec(source: str) -> Tuple[str, float]:
         raise FederationError(
             "--fail-region %r: %r is not a time in seconds" % (source, at)
         ) from exc
-    if time_s < 0:
-        raise FederationError("--fail-region %r: time must be non-negative" % source)
+    if not _valid_fail_time(time_s):
+        raise FederationError(
+            "--fail-region %r: time must be finite and non-negative" % source
+        )
     return name, time_s
+
+
+def _valid_fail_time(time_s: float) -> bool:
+    """A failure instant the event loop can order: finite and not negative."""
+    return math.isfinite(time_s) and time_s >= 0
 
 
 @dataclass
@@ -448,6 +455,12 @@ class FederatedTrafficEngine:
                 raise FederationError(
                     "--fail-region names unknown regions: %s" % sorted(unknown_regions)
                 )
+            for region, time_s in sorted(fail_at.items()):
+                if not _valid_fail_time(time_s):
+                    raise FederationError(
+                        "fail_at[%r] = %r: time must be finite and non-negative"
+                        % (region, time_s)
+                    )
 
         self.tenants = list(tenants)
         self.clusters = list(clusters)
@@ -481,32 +494,6 @@ class FederatedTrafficEngine:
         #: Per-region telemetry sinks of the last run (for the CLI to drain).
         self.telemetries: Dict[str, "Telemetry"] = {}
 
-    # -- service times ---------------------------------------------------------------
-
-    def _service_time(self, mode: str, payload_bytes: int) -> float:
-        key = (mode, payload_bytes)
-        cached = self._service_cache.get(key)
-        if cached is None:
-            cached = _measure_service_time(mode, payload_bytes, self.config.cost_model)
-            self._service_cache[key] = cached
-        return cached
-
-    def _prefill_service_cache(self, streams: Mapping[str, List[Request]]) -> None:
-        wanted = {
-            (tenant.mode, request.payload_bytes)
-            for tenant in self.tenants
-            for request in streams[tenant.name]
-        }
-        needed = sorted(wanted - set(self._service_cache))
-        if not needed:
-            return
-        results = parallel_map(
-            _measure_service_time,
-            [(mode, payload, self.config.cost_model) for mode, payload in needed],
-        )
-        for key, value in zip(needed, results):
-            self._service_cache[key] = value
-
     # -- the run ---------------------------------------------------------------------
 
     def run(self) -> FederationSummary:
@@ -518,9 +505,6 @@ class FederatedTrafficEngine:
         if total_requests == 0:
             raise FederationError("cannot run with zero requests across all tenants")
         retain = self.config.retain_records
-        if self.config.parallel_nodes:
-            self._prefill_service_cache(streams)
-
         self.clock.reset()
         loop = PartitionedEventLoop()
         counter = [total_requests]
@@ -593,7 +577,6 @@ class FederatedTrafficEngine:
                 oversubscription=self.oversubscription,
                 clock=self.clock,
                 loop=loop,
-                service_time=self._service_time,
                 service_cache=self._service_cache,
                 counter=counter,
                 total_requests=total_requests,
@@ -752,10 +735,7 @@ class FederatedTrafficEngine:
             )
         for region in regions:
             runtimes[region].start_ticks()
-        if self.config.parallel_nodes:
-            loop.run_parallel()
-        else:
-            loop.run()
+        loop.run()
 
         if counter[0] != 0:
             raise FederationError(

@@ -67,9 +67,9 @@ class NodeMemoryModel:
     ledger shard's ``rss`` meter so peaks flow into every existing memory
     report), ``pressure`` is the used/budget fraction the autoscaler and
     evictor consume, and ``inflation`` is the service-time multiplier past
-    the knee.  All bookkeeping is plain floats over dicts — deterministic,
-    and only touched from the engine's serialized stages, so parallel-node
-    runs stay byte-identical to serial ones.
+    the knee.  All bookkeeping is plain floats over dicts, touched only
+    from the engine's serially executed events, so seeded runs are
+    deterministic.
     """
 
     def __init__(

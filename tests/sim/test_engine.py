@@ -1,8 +1,16 @@
-"""Unit tests for the event loop and the parallel-tracks makespan helper."""
+"""Unit tests for the event loop, the parallel map and the makespan helper."""
+
+import math
 
 import pytest
 
-from repro.sim.engine import EngineError, EventLoop, ParallelTracks
+from repro.sim.engine import (
+    EngineError,
+    EventLoop,
+    ParallelTracks,
+    PartitionedEventLoop,
+    parallel_map,
+)
 
 
 def test_events_run_in_time_order():
@@ -30,6 +38,28 @@ def test_schedule_rejects_past_events():
     with pytest.raises(EngineError):
         loop.schedule(-1.0, lambda: None)
     loop.schedule(1.0, lambda: None)
+    loop.run()
+    with pytest.raises(EngineError):
+        loop.schedule_at(0.5, lambda: None)
+
+
+def test_schedule_at_rejects_nan_times():
+    loop = EventLoop()
+    loop.schedule(1.0, lambda: None)
+    # NaN compares false against everything, so it would slip past a plain
+    # ``time < now`` check and silently corrupt the heap's order.
+    with pytest.raises(EngineError):
+        loop.schedule_at(math.nan, lambda: None)
+    with pytest.raises(EngineError):
+        loop.schedule(math.nan, lambda: None)
+    assert loop.pending() == 1
+    loop.run()
+    assert loop.now == pytest.approx(1.0)
+
+
+def test_partitioned_loop_still_rejects_past_events():
+    loop = PartitionedEventLoop()
+    loop.schedule_at(1.0, lambda: None)
     loop.run()
     with pytest.raises(EngineError):
         loop.schedule_at(0.5, lambda: None)
@@ -116,3 +146,16 @@ def test_totals_and_validation():
         tracks.add(-1.0)
     with pytest.raises(EngineError):
         ParallelTracks(workers=0)
+
+
+def _square(value):
+    return value * value
+
+
+def test_parallel_map_preserves_input_order():
+    items = [(n,) for n in range(12)]
+    assert parallel_map(_square, items) == [n * n for n in range(12)]
+
+
+def test_parallel_map_single_item_runs_inline():
+    assert parallel_map(_square, [(7,)], max_workers=1) == [49]

@@ -3,8 +3,8 @@
 Three pieces of the throughput work changed *how* the engine computes
 without being allowed to change *what* it computes:
 
-* ``_prefill_service_cache`` memoizes each tenant spec's (mode, payload)
-  key set, so repeated runs of one engine stop re-scanning every request;
+* the runtime fills the shared service-time cache itself, measuring each
+  (mode, payload) once however many regions or runs share the cache;
 * ``_merge_timelines`` replaced a global sort with an N-way
   ``heapq.merge`` over the per-tenant step functions;
 * ``_ordered_requests`` replaced the unconditional per-engine sort with a
@@ -21,48 +21,75 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.traffic import cluster_runtime
 from repro.traffic.arrivals import MB, PoissonArrivals, Request
 from repro.traffic.autoscaler import Autoscaler, FixedReplicasPolicy
 from repro.traffic.engine import (
-    MultiTenantTrafficEngine,
     TrafficConfig,
     TrafficEngine,
     _merge_timelines,
     _ordered_requests,
 )
+from repro.traffic.federation import ClusterSpec, FederatedTrafficEngine
 from repro.traffic.tenants import TenantSpec
 
 
-# -- _prefill_service_cache memo ---------------------------------------------------
+# -- the runtime-owned service-time cache -----------------------------------------
 
 
-def _tenant(name, seed):
+def _tenant(name, seed, mode="roadrunner-user", payload_mb=1.0):
     return TenantSpec(
         name=name,
-        mode="roadrunner-user",
+        mode=mode,
         weight=1,
         arrivals=PoissonArrivals(
-            rate_rps=20.0, duration_s=2.0, payload_mb=1.0, seed=seed
+            rate_rps=20.0, duration_s=2.0, payload_mb=payload_mb, seed=seed
         ),
     )
 
 
-def test_prefill_key_sets_are_memoized_across_runs():
-    engine = MultiTenantTrafficEngine(
-        [_tenant("steady", 1), _tenant("noisy", 2)],
-        config=TrafficConfig(nodes=2, initial_replicas=1, parallel_nodes=True),
-        # Pre-seed the only (mode, payload) pair so prefill never has to
-        # measure anything — the test isolates the key-set derivation.
-        service_cache={("roadrunner-user", int(1.0 * MB)): 0.05},
-    )
-    first = engine.run()
-    assert engine.prefill_key_derivations == 2  # one scan per tenant spec
-    second = engine.run()
-    assert engine.prefill_key_derivations == 2  # memo hit: no re-scan
-    # The memo must not perturb the runs themselves.
-    for name in ("steady", "noisy"):
-        assert first.tenants[name].offered == second.tenants[name].offered
-        assert first.tenants[name].completed == second.tenants[name].completed
+def test_shared_service_cache_measures_each_key_once(monkeypatch):
+    measured = []
+    original = cluster_runtime._measure_service_time
+
+    def counting(mode, payload_bytes, cost_model):
+        measured.append((mode, payload_bytes))
+        return original(mode, payload_bytes, cost_model)
+
+    monkeypatch.setattr(cluster_runtime, "_measure_service_time", counting)
+    # Both regions serve the (roadrunner-user, 1 MB) key; the third tenant
+    # adds a second key in one region only.
+    tenants = [
+        _tenant("steady", 1),
+        _tenant("noisy", 2),
+        _tenant("batch", 3, mode="runc-http", payload_mb=0.5),
+    ]
+    clusters = [
+        ClusterSpec(region="eu", nodes=2, tenants=("steady", "batch")),
+        ClusterSpec(region="us", nodes=2, tenants=("noisy",)),
+    ]
+    cache = {}
+
+    def run():
+        return FederatedTrafficEngine(
+            tenants,
+            clusters,
+            config=TrafficConfig(nodes=2, initial_replicas=1),
+            service_cache=cache,
+        ).run()
+
+    first = run()
+    wanted = {("roadrunner-user", MB), ("runc-http", MB // 2)}
+    # The shared key was served in both regions, yet measured only once.
+    assert first.regions["eu"].tenants["steady"].completed > 0
+    assert first.regions["us"].tenants["noisy"].completed > 0
+    assert sorted(measured) == sorted(wanted)
+    assert set(cache) == wanted
+
+    measured.clear()
+    second = run()
+    assert measured == []  # a warm shared cache measures nothing
+    assert repr(second) == repr(first)
 
 
 # -- _merge_timelines vs the global sort it replaced -------------------------------

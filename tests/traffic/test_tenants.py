@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.platform.gateway import FairnessPolicy
-from repro.traffic.arrivals import PoissonArrivals, Request
+from repro.traffic.arrivals import BurstyArrivals, PoissonArrivals, Request
 from repro.traffic.autoscaler import Autoscaler, FixedReplicasPolicy, NoScalingPolicy
+from repro.traffic.classes import RequestClass
 from repro.traffic.engine import (
     MultiTenantTrafficEngine,
     TrafficConfig,
@@ -322,6 +323,33 @@ def test_multi_tenant_run_is_seeded_deterministic():
     assert first.tenants == second.tenants
     assert first.cluster == second.cluster
     assert first.weights == second.weights
+
+
+def test_node_usage_rollup_covers_every_node_and_the_cluster_shard():
+    tenants = [
+        TenantSpec(
+            name="steady",
+            mode="roadrunner-user",
+            weight=2,
+            arrivals=PoissonArrivals(
+                rate_rps=25, duration_s=8, function="steady", payload_mb=0.5, seed=11
+            ),
+            classes=(RequestClass(name="rt", deadline_s=0.5, hard=True),),
+        ),
+        TenantSpec(
+            name="noisy",
+            mode="runc-http",
+            weight=1,
+            arrivals=BurstyArrivals(
+                on_rate_rps=60, duration_s=8, function="noisy", payload_mb=1.0, seed=7
+            ),
+        ),
+    ]
+    summary = MultiTenantTrafficEngine(tenants, config=TrafficConfig(nodes=4)).run()
+    assert set(summary.nodes) == {"cluster", "traffic-0", "traffic-1", "traffic-2", "traffic-3"}
+    cluster_row = summary.nodes["cluster"]
+    assert cluster_row.charges > 0  # ingress routing charges are node-less
+    assert sum(usage.charges for usage in summary.nodes.values()) > cluster_row.charges
 
 
 def test_arbiter_caps_total_replicas_at_oversubscribed_slots():
