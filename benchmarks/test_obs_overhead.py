@@ -8,9 +8,9 @@ Three gates protect the observability layer's core promises:
    (registry, trace log, event stream, progress) cannot perturb a single
    simulated event.
 2. **On is bounded** — the fully instrumented run finishes within ``3x``
-   the uninstrumented wall-clock (measured ~1.9x; the slack absorbs CI
-   noise).  Per-request work is a few counter bumps, one trace record and
-   one JSON line.
+   the uninstrumented wall-clock (measured 2.4-3.4x, median ~2.7x, on a
+   2-core shared host: the margin is thin).  Per-request work is a few
+   counter bumps, one trace record and one JSON line.
 3. **Sketch mode is honest** — ``retain_records=False`` keeps no
    per-request records at all, yet its p50/p95/p99 stay within 1% of the
    exact order statistics on a 100k-request run whose latency distribution
@@ -35,6 +35,9 @@ from repro.traffic.report import render_traffic_report
 
 #: The stated instrumentation-overhead bound (wall-clock on / wall-clock off).
 OVERHEAD_BOUND = 3.0
+
+#: Timed runs per side of the overhead measurement (the best one counts).
+REPEATS = 5
 
 #: The stated sketch-accuracy bound (relative error vs exact percentiles).
 ACCURACY_BOUND = 0.01
@@ -91,19 +94,28 @@ def test_telemetry_off_output_is_byte_identical(benchmark):
 
 
 def test_instrumentation_overhead_under_bound(benchmark):
-    requests = PoissonArrivals(rate_rps=100.0, duration_s=20.0, payload_mb=1.0, seed=5).generate()
+    # ~20k requests: one uninstrumented run takes ~0.4 s on a 2-core host, long
+    # enough that timer and scheduler jitter stay small beside it.
+    requests = PoissonArrivals(rate_rps=100.0, duration_s=200.0, payload_mb=1.0, seed=5).generate()
 
-    def timed(telemetry_factory):
-        # Best-of-three absorbs scheduler jitter on shared CI runners.
-        best = float("inf")
-        for _ in range(3):
-            started = time.perf_counter()
-            _run(requests, telemetry=telemetry_factory())
-            best = min(best, time.perf_counter() - started)
-        return best
+    def timed(telemetry):
+        started = time.perf_counter()
+        _run(requests, telemetry=telemetry)
+        return time.perf_counter() - started
 
     def measure():
-        return timed(lambda: None), timed(_full_telemetry)
+        # Off and on runs alternate (off/on, then on/off, ...) so a drift
+        # in host speed lands on both sides; best-of-N on each side then
+        # absorbs scheduler jitter on shared runners.
+        off, on = [], []
+        for repeat in range(REPEATS):
+            if repeat % 2 == 0:
+                off.append(timed(None))
+                on.append(timed(_full_telemetry()))
+            else:
+                on.append(timed(_full_telemetry()))
+                off.append(timed(None))
+        return min(off), min(on)
 
     off_s, on_s = benchmark.pedantic(measure, rounds=1, iterations=1)
     factor = on_s / off_s

@@ -154,18 +154,34 @@ class Telemetry:
     # -- per-request ------------------------------------------------------------------
 
     def on_request(self, tenant: str, record: RequestRecord, node: str = "") -> None:
-        """One request reached a terminal outcome; fan it out everywhere."""
-        self._labelled(self._requests, tenant=tenant, outcome=record.outcome.value).inc()
+        """One request reached a terminal outcome; fan it out everywhere.
+
+        This runs once per simulated request, so metric children are read
+        straight from :meth:`_labelled`'s memo (under its keys); only a miss
+        goes through it.
+        """
+        children = self._children
+        outcome = record.outcome.value
+        served = record.served
+        completed = record.outcome is RequestOutcome.COMPLETED
+        counter = children.get((self._requests, tenant, outcome))
+        if counter is None:
+            counter = self._labelled(self._requests, tenant=tenant, outcome=outcome)
+        counter.inc()
         trace = RequestTrace.from_record(tenant, record, node=node)
-        if record.served:
+        if served:
             # Cached/coalesced responses count toward client-observed latency
             # even though they never produced backend stage durations.
-            self._labelled(self._latency, tenant=tenant).observe(record.latency_s)
-        if record.outcome is RequestOutcome.COMPLETED:
+            latency = children.get((self._latency, tenant))
+            if latency is None:
+                latency = self._labelled(self._latency, tenant=tenant)
+            latency.observe(record.latency_s)
+        if completed:
             for stage, _, duration in trace.stages():
-                self._labelled(self._stages, tenant=tenant, stage=stage).observe(
-                    duration
-                )
+                summary = children.get((self._stages, tenant, stage))
+                if summary is None:
+                    summary = self._labelled(self._stages, tenant=tenant, stage=stage)
+                summary.observe(duration)
         if self.trace_log is not None:
             self.trace_log.record(trace)
         if self.events is not None:
@@ -174,12 +190,12 @@ class Telemetry:
                 "tenant": tenant,
                 "id": record.request_id,
                 "class": record.request_class,
-                "outcome": record.outcome.value,
+                "outcome": outcome,
                 "arrival_s": round(record.arrival_s, 9),
             }
-            if record.served:
+            if served:
                 event["latency_s"] = round(record.latency_s, 9)
-            if record.outcome is RequestOutcome.COMPLETED:
+            if completed:
                 event["queue_s"] = round(trace.queue_s, 9)
                 event["cold_start_s"] = round(trace.cold_start_s, 9)
                 event["service_s"] = round(trace.service_s, 9)

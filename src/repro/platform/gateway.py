@@ -38,7 +38,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Set
 
 from repro.platform.deployment import DeployedFunction
 from repro.platform.function import FunctionSpec
@@ -314,6 +314,15 @@ class FairQueue:
 
     def depth(self, tenant: str) -> int:
         return len(self._require(tenant).live)
+
+    def backlog(self, tenant: str) -> AbstractSet[int]:
+        """The ids waiting in ``tenant``'s queue, as a live view (do not mutate).
+
+        The set changes as items enter and leave, so a caller polling for
+        a backlog on every dispatch pass holds it once instead of paying
+        :meth:`depth`'s tenant lookup each time.
+        """
+        return self._require(tenant).live
 
     def is_queued(self, tenant: str, item_id: int) -> bool:
         """Whether ``item_id`` is still waiting (not dispatched/cancelled)."""

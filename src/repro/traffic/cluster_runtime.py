@@ -103,9 +103,9 @@ def _spec_for_mode(mode: str, function: str, tenant: str = "tenant-1") -> Functi
 class _Replica:
     """Engine-side view of one gateway replica.
 
-    Only warm-up and idleness live here; in-flight counts stay in the
-    gateway (the load balancer's bookkeeping is the single source of
-    truth — the engine samples it through the admission hooks).
+    Only warm-up and idleness live here; per-replica in-flight counts stay
+    in the gateway (the load balancer's bookkeeping), and the runtime keeps
+    only per-node and per-tenant totals beside them for its dispatch gates.
     """
 
     deployed: DeployedFunction
@@ -148,6 +148,10 @@ class _TenantState:
     oom_evictions: int = 0
     rss_mb_seconds: float = 0.0  # integral of RSS over replica residency
     cpu_seconds: float = 0.0     # replica-busy seconds (hedged losers too)
+    # Dispatch-gate counters (see ``ClusterRuntime.dispatch``).
+    in_flight: int = 0           # attempts running on the pool (a hedge is 2)
+    ready_slots: int = 0         # per-replica concurrency x replicas counted warm
+    warming: List[float] = field(default_factory=list)  # heap of uncounted ready_at
     # Spec-derived names, materialized once: these were properties, but the
     # request path reads them several times per request.
     name: str = field(init=False)
@@ -324,6 +328,13 @@ class ClusterRuntime:
         #: (+1 at every replica selection, -1 at every release) instead of
         #: being rebuilt from gateway pool scans on every dispatch pass.
         node_busy = {name: 0 for name in cluster.nodes}
+        #: Nodes with a free core (``node_busy < cores``).  It moves only when
+        #: a node crosses its core count: a hedge can leave a node one past
+        #: it, where a running sum of free cores would go negative and hide
+        #: another node's free core.
+        open_nodes = sum(1 for name in cluster.nodes if cores[name] > 0)
+        #: Each tenant's waiting ids, held once: dispatch polls them per pass.
+        backlogs = [(state, queue.backlog(state.name)) for state in states]
 
         def note(now: float) -> None:
             nonlocal last_event_s
@@ -387,11 +398,7 @@ class ClusterRuntime:
             The arbiter reserves unmet guarantees only up to this demand, so
             idle tenants lend their share instead of stranding slots.
             """
-            return {
-                state.name: gateway.queue.depth(state.name)
-                + (gateway.total_in_flight(state.function) if state.replicas else 0)
-                for state in states
-            }
+            return {state.name: queue.depth(state.name) + state.in_flight for state in states}
 
         def warm_dispatch() -> None:
             """A replica finished warming: queued work may now be servable."""
@@ -428,6 +435,7 @@ class ClusterRuntime:
                 replica.gw_state = gw_state
                 state.replicas.append(replica)
                 state.by_name[deployed.name] = replica
+                heapq.heappush(state.warming, replica.ready_at)
                 if memory is not None:
                     memory.allocate(deployed.node_name, state.rss_mb)
                 loop.schedule_at(now + cold, warm_dispatch, label="warm")
@@ -446,11 +454,47 @@ class ClusterRuntime:
         def drop_replica(state: _TenantState, replica: _Replica, now: float) -> None:
             """Deregister one warm replica (reclaim and eviction share this)."""
             gateway.remove_replica(state.function, replica.deployed)
+            # Only ready, idle replicas are dropped: once promoted at ``now``
+            # this one is among the counted ready slots.
+            promote(state, now)
+            state.ready_slots -= per_replica_concurrency
             state.replicas.remove(replica)
             del state.by_name[replica.deployed.name]
             if memory is not None:
                 state.rss_mb_seconds += replica.rss_mb * max(0.0, now - replica.born_s)
                 memory.free(replica.deployed.node_name, replica.rss_mb)
+
+        def promote(state: _TenantState, now: float) -> None:
+            """Count every replica whose warm-up has ended by ``now`` as ready.
+
+            Lazy, at the instant a gate reads the count, so it matches the
+            replica scan's ``ready_at <= now`` whatever order same-instant
+            warm-up and arrival events fire in.
+            """
+            warming = state.warming
+            while warming and warming[0] <= now:
+                heapq.heappop(warming)
+                state.ready_slots += per_replica_concurrency
+
+        def occupy(state: _TenantState, replica: _Replica) -> None:
+            """One attempt starts on ``replica``: count it on its node and tenant."""
+            nonlocal open_nodes
+            node = replica.node
+            busy = node_busy[node] = node_busy[node] + 1
+            if busy == cores[node]:
+                open_nodes -= 1
+            state.in_flight += 1
+
+        def vacate(state: _TenantState, replica: _Replica, completion: float) -> None:
+            """One attempt on ``replica`` ends at ``completion``: free its slot."""
+            nonlocal open_nodes
+            gateway.release_state(state.function, replica.gw_state)
+            node = replica.node
+            busy = node_busy[node] = node_busy[node] - 1
+            if busy == cores[node] - 1:
+                open_nodes += 1
+            state.in_flight -= 1
+            replica.idle_since = completion
 
         def evict_over_budget(now: float) -> None:
             """Kill the coldest idle replica on every node over its budget.
@@ -517,9 +561,7 @@ class ClusterRuntime:
                 request_class=request.request_class,
                 deadline_s=request.deadline_s,
             )
-            gateway.release_state(state.function, replica.gw_state)
-            node_busy[replica.node] -= 1
-            replica.idle_since = completion
+            vacate(state, replica, completion)
             if memory is not None:
                 # Replica-busy CPU: the loser of a hedge burned the same
                 # wall interval before its cancellation, so it pays too.
@@ -527,9 +569,7 @@ class ClusterRuntime:
             if loser is not None:
                 # The hedge's losing attempt is cancelled now: its replica
                 # frees the moment the winner answers the client.
-                gateway.release_state(state.function, loser.gw_state)
-                node_busy[loser.node] -= 1
-                loser.idle_since = completion
+                vacate(state, loser, completion)
                 if memory is not None:
                     state.cpu_seconds += record.service_s
             resolve(state, record, node=replica.node)
@@ -544,16 +584,36 @@ class ClusterRuntime:
             head request with a *hard* deadline that can no longer be met
             is shed here — admission control refuses to burn a replica on
             output nobody can use.
+
+            Gates on O(1) counts skip work that cannot place a request.
+            Each is a necessary condition for the replica scan to find a
+            candidate, so skipping changes no output: with no open node no
+            replica passes ``node_busy < cores``; and since no replica runs
+            more than ``per_replica_concurrency`` attempts, a tenant whose
+            in-flight count fills its ready slots has none passing both
+            ``ready_at <= now`` and the concurrency test.  The fair order is
+            walked only while some backlogged tenant has a free ready slot.
             """
             if halted:
                 # A failed region assigns no new work: in-flight requests
                 # drain and account normally, anything queued (re-admitted
                 # with nowhere alive to go) rejects via its queue timeout.
                 return
-            while True:
+            while open_nodes:
+                # Promote every backlogged tenant: the walk reads the counts.
+                ready = False
+                for state, backlog in backlogs:
+                    if backlog:
+                        promote(state, now)
+                        if state.in_flight < state.ready_slots:
+                            ready = True
+                if not ready:
+                    return
                 served = False
                 for tenant_name in queue.dispatch_order():
                     state = by_tenant[tenant_name]
+                    if state.in_flight >= state.ready_slots:
+                        continue
                     candidates = [
                         replica
                         for replica in state.replicas
@@ -620,8 +680,11 @@ class ClusterRuntime:
                             ],
                         )
                         hedge = hedge_gw.handle
-                        node_busy[primary.node] += 1
-                        node_busy[hedge.node] += 1
+                        # Both may land on one node that had a single free
+                        # core, leaving it one past its cores: an open
+                        # modelling bug (ROADMAP), kept for identical output.
+                        occupy(state, primary)
+                        occupy(state, hedge)
                         primary_done, hedge_offset = plan.completion_offsets()
                         if memory is not None:
                             # Each attempt slows by its own node's pressure.
@@ -641,7 +704,7 @@ class ClusterRuntime:
                             [replica.gw_state for replica in candidates],
                         )
                         replica = chosen.handle
-                        node_busy[replica.node] += 1
+                        occupy(state, replica)
                         if memory is not None:
                             # Memory pressure on the chosen node slows the
                             # service; the EWMA below sees the inflated time,
@@ -779,7 +842,7 @@ class ClusterRuntime:
             estimate = gateway.queue.cost_estimate(state.name)
             sample = LoadSample(
                 time_s=now,
-                in_flight=gateway.total_in_flight(state.function) if state.replicas else 0,
+                in_flight=state.in_flight,
                 queued=gateway.queue.depth(state.name),
                 replicas=len(state.replicas),
                 arrival_rate_rps=rate,
@@ -864,6 +927,9 @@ class ClusterRuntime:
         self.complete = complete_event
         self.tick = control_tick
         self.add_replicas = add_replicas
+        #: Count a tenant's replicas warmed up by an instant as ready slots
+        #: (the invariant checks read ``ready_slots`` after it).
+        self.promote = promote
         self._halt = halt
         self.halted = False
         self._last_event = last_event
@@ -910,9 +976,7 @@ class ClusterRuntime:
         """In-flight + queued across every tenant (the least-loaded signal)."""
         total = 0
         for state in self.states:
-            total += self.gateway.queue.depth(state.name)
-            if state.replicas:
-                total += self.gateway.total_in_flight(state.function)
+            total += self.gateway.queue.depth(state.name) + state.in_flight
         return total
 
     def warm_ready(self, tenant: str, now: float) -> int:
