@@ -2,10 +2,14 @@
 
 Unlike the figure benchmarks (which measure *simulated* time), these time the
 actual Python implementation of the hot primitives — linear-memory copies,
-pipe operations, Unix-socket IPC and the codecs — so regressions in the
-reproduction's own code are caught by pytest-benchmark.
+pipe operations, Unix-socket IPC, the codecs and one whole data-path
+calibration per mode — so regressions in the reproduction's own code are
+caught by pytest-benchmark.
 """
 
+import pytest
+
+from repro.experiments.environment import build_pair_setup
 from repro.kernel.kernel import Kernel
 from repro.kernel.pipes import Pipe
 from repro.kernel.sockets import UnixSocketPair
@@ -76,3 +80,32 @@ def test_binary_codec_round_trip(benchmark):
 
     result = benchmark(run)
     PAYLOAD.require_match(result)
+
+
+#: Modelled latency of one calibration at a 256 KiB payload, per mode (and
+#: the placement the mode runs in).  The cases time the host cost of the
+#: whole data path and pin its output; none gates on time.
+CALIBRATION_LATENCY_S = {
+    ("roadrunner-user", False): 0.00015115657552083333,
+    ("roadrunner-kernel", False): 0.0005511323567708333,
+    ("roadrunner-network", True): 0.004371868956473214,
+    ("runc-http", False): 0.005536764800637998,
+    ("wasmedge-http", False): 0.026320612869835384,
+}
+
+CALIBRATION_PAYLOAD = Payload.virtual(256 * 1024)
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(CALIBRATION_LATENCY_S),
+    ids=lambda case: "%s-%s" % (case[0], "inter" if case[1] else "intra"),
+)
+def test_data_path_calibration(benchmark, case):
+    mode, internode = case
+
+    def run():
+        setup = build_pair_setup(mode, internode=internode)
+        return setup.invoker.invoke(setup.workflow, CALIBRATION_PAYLOAD).total_latency_s
+
+    assert benchmark(run) == CALIBRATION_LATENCY_S[case]

@@ -17,13 +17,17 @@ from repro.platform.deployment import DeployedFunction
 from repro.sim.ledger import CostCategory, CpuDomain
 
 
+#: The paper's configuration (frozen, so one instance serves every channel).
+_DEFAULT_CONFIG = RoadrunnerConfig.default()
+
+
 class RoadrunnerChannelBase(DataPassingChannel):
     """Base class holding the per-function shim cache and the config."""
 
     def __init__(self, cluster: Cluster, config: Optional[RoadrunnerConfig] = None) -> None:
         super().__init__(cluster.ledger)
         self.cluster = cluster
-        self.config = config if config is not None else RoadrunnerConfig.default()
+        self.config = config if config is not None else _DEFAULT_CONFIG
         self._shims: Dict[str, RoadrunnerShim] = {}
 
     def shim_for(self, deployed: DeployedFunction) -> RoadrunnerShim:

@@ -17,6 +17,7 @@ measurement so repetitions never share state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -119,10 +120,12 @@ def _make_channel(
     return WasmEdgeHttpChannel(cluster)
 
 
-def _specs(mode: str, names: Sequence[str]) -> List[FunctionSpec]:
+@functools.lru_cache(maxsize=64)
+def _specs(mode: str, names: Tuple[str, ...]) -> Tuple[FunctionSpec, ...]:
+    """The specs deployed for ``mode`` (immutable, so shared across setups)."""
     kind = _runtime_kind(mode)
     requires_wasi = kind is not RuntimeKind.RUNC
-    return [
+    return tuple(
         FunctionSpec(
             name=name,
             runtime=kind,
@@ -131,7 +134,13 @@ def _specs(mode: str, names: Sequence[str]) -> List[FunctionSpec]:
             tenant="tenant-1",
         )
         for name in names
-    ]
+    )
+
+
+_PAIR = ("fn-a", "fn-b")
+
+#: The chained pair's workflow (immutable, so shared across setups).
+_CHAIN = SequenceWorkflow(_PAIR, name="chain-a-b")
 
 
 def build_pair_setup(
@@ -145,7 +154,7 @@ def build_pair_setup(
     _validate_mode(mode, internode)
     cluster = _make_cluster(internode, cost_model)
     orchestrator = Orchestrator(cluster)
-    specs = _specs(mode, ["fn-a", "fn-b"])
+    specs = _specs(mode, _PAIR)
     nodes = list(cluster.nodes)
     placement = {"fn-a": nodes[0], "fn-b": nodes[-1] if internode else nodes[0]}
     share_vm_key = "shared-vm" if mode == "roadrunner-user" else None
@@ -153,14 +162,13 @@ def build_pair_setup(
         specs, placement=placement, share_vm_key=share_vm_key, materialize=materialize
     )
     channel = _make_channel(mode, cluster, config)
-    workflow = SequenceWorkflow(["fn-a", "fn-b"], name="chain-a-b")
     invoker = Invoker(orchestrator, channel)
     return TransferSetup(
         mode=mode,
         cluster=cluster,
         orchestrator=orchestrator,
         channel=channel,
-        workflow=workflow,
+        workflow=_CHAIN,
         source=deployments[0],
         targets=[deployments[1]],
         invoker=invoker,
@@ -182,7 +190,7 @@ def build_fanout_setup(
     cluster = _make_cluster(internode, cost_model)
     orchestrator = Orchestrator(cluster)
     target_names = ["fn-b-%d" % i for i in range(degree)]
-    specs = _specs(mode, ["fn-a"] + target_names)
+    specs = _specs(mode, ("fn-a", *target_names))
     nodes = list(cluster.nodes)
     target_node = nodes[-1] if internode else nodes[0]
     placement = {"fn-a": nodes[0]}

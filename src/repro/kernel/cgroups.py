@@ -11,9 +11,13 @@ of Figs. 7-10.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 from repro.sim.ledger import CpuDomain, MemoryMeter
+
+#: Enum member lookups run Python code before Python 3.12; this one is hot.
+_NO_CPU = CpuDomain.NONE
 
 
 class CgroupError(ValueError):
@@ -35,13 +39,14 @@ class Cgroup:
 
     def charge_cpu(self, domain: CpuDomain, seconds: float) -> None:
         """Add ``seconds`` of CPU time in ``domain`` (USER or KERNEL)."""
-        if seconds < 0:
-            raise CgroupError("cpu charge must be non-negative, got %r" % seconds)
-        if domain is CpuDomain.NONE:
+        if not 0 <= seconds < math.inf:
+            raise CgroupError("cpu charge must be finite and non-negative, got %r" % (seconds,))
+        if domain is _NO_CPU:
             return
-        if domain not in self._cpu_seconds:
-            raise CgroupError("unknown CPU domain %r" % (domain,))
-        self._cpu_seconds[domain] += seconds
+        try:
+            self._cpu_seconds[domain] += seconds
+        except KeyError:
+            raise CgroupError("unknown CPU domain %r" % (domain,)) from None
 
     @property
     def user_cpu_seconds(self) -> float:

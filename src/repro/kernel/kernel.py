@@ -21,6 +21,16 @@ from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain, MemoryMeter
 
 
+# Enum member lookups run Python code before Python 3.12, and the charge
+# helpers below run on every simulated boundary crossing.
+_SYSCALL = CostCategory.SYSCALL
+_CONTEXT_SWITCH = CostCategory.CONTEXT_SWITCH
+_MEMCPY = CostCategory.MEMCPY
+_SPLICE = CostCategory.SPLICE
+_USER = CpuDomain.USER
+_KERNEL = CpuDomain.KERNEL
+
+
 class KernelError(RuntimeError):
     """Raised for invalid kernel operations."""
 
@@ -84,14 +94,14 @@ class Kernel:
             raise KernelError("syscall count must be >= 1")
         seconds = self.cost_model.syscall_time(count)
         self.ledger.charge(
-            CostCategory.SYSCALL,
+            _SYSCALL,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             label="%s:%s" % (process.name, name),
             wall_time=wall_time,
             units=count,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         process.note_syscall(count)
         return seconds
 
@@ -99,12 +109,12 @@ class Kernel:
         """Charge one context switch away from ``from_process``."""
         seconds = self.cost_model.context_switch_overhead
         self.ledger.charge(
-            CostCategory.CONTEXT_SWITCH,
+            _CONTEXT_SWITCH,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             label="switch:%s" % from_process.name,
         )
-        from_process.charge_cpu(CpuDomain.KERNEL, seconds)
+        from_process.charge_cpu(_KERNEL, seconds)
         from_process.note_context_switch()
         if to_process is not None:
             to_process.note_context_switch()
@@ -114,56 +124,56 @@ class Kernel:
         """Copy ``nbytes`` from user space into kernel buffers."""
         seconds = self.cost_model.user_kernel_copy_time(nbytes)
         self.ledger.charge(
-            CostCategory.MEMCPY,
+            _MEMCPY,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             nbytes=nbytes,
             copied=True,
             label=label or "%s:user->kernel" % process.name,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         return seconds
 
     def copy_kernel_to_user(self, process: Process, nbytes: int, label: str = "") -> float:
         """Copy ``nbytes`` from kernel buffers into user space."""
         seconds = self.cost_model.user_kernel_copy_time(nbytes)
         self.ledger.charge(
-            CostCategory.MEMCPY,
+            _MEMCPY,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             nbytes=nbytes,
             copied=True,
             label=label or "%s:kernel->user" % process.name,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         return seconds
 
     def user_memcpy(self, process: Process, nbytes: int, label: str = "") -> float:
         """Copy ``nbytes`` entirely within user space."""
         seconds = self.cost_model.memcpy_time(nbytes)
         self.ledger.charge(
-            CostCategory.MEMCPY,
+            _MEMCPY,
             seconds,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             nbytes=nbytes,
             copied=True,
             label=label or "%s:memcpy" % process.name,
         )
-        process.charge_cpu(CpuDomain.USER, seconds)
+        process.charge_cpu(_USER, seconds)
         return seconds
 
     def splice_pages(self, process: Process, nbytes: int, label: str = "") -> float:
         """Gift/steal page references (vmsplice/splice) — no byte copy."""
         seconds = self.cost_model.splice_time(nbytes)
         self.ledger.charge(
-            CostCategory.SPLICE,
+            _SPLICE,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             nbytes=nbytes,
             copied=False,
             label=label or "%s:splice" % process.name,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         return seconds
 
     def track_kernel_buffer(self, process: Process, buffer: "KernelBuffer") -> None:

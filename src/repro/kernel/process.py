@@ -29,11 +29,13 @@ class Process:
         self.context_switches = 0
 
     def charge_cpu(self, domain: CpuDomain, seconds: float) -> None:
-        self._require_alive()
+        if not self.alive:
+            self._require_alive()
         self.cgroup.charge_cpu(domain, seconds)
 
     def note_syscall(self, count: int = 1) -> None:
-        self._require_alive()
+        if not self.alive:
+            self._require_alive()
         if count < 0:
             raise ProcessError("syscall count must be non-negative")
         self.syscall_count += count

@@ -11,8 +11,9 @@ RAM, copies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
+from repro.frozen import from_fields
 from repro.sim.ledger import (
     SERIALIZATION_CATEGORIES,
     CostCategory,
@@ -123,6 +124,15 @@ _TRANSFER_CATEGORIES = (
     CostCategory.HTTP,
 )
 
+#: Which latency component a category's seconds count toward: 0 for
+#: serialization, 1 for Wasm VM I/O, 2 for transfer (other categories none).
+_LATENCY_PART: Dict[CostCategory, int] = {category: 0 for category in SERIALIZATION_CATEGORIES}
+_LATENCY_PART[CostCategory.WASM_IO] = 1
+_LATENCY_PART.update((category, 2) for category in _TRANSFER_CATEGORIES)
+
+#: ``category.value`` without the enum ``value`` property's Python-level call.
+_CATEGORY_NAME: Dict[CostCategory, str] = {category: category.value for category in CostCategory}
+
 
 class LedgerWindow:
     """Context manager measuring the ledger activity inside a ``with`` block.
@@ -160,34 +170,62 @@ class LedgerWindow:
     def _build(self) -> TransferMetrics:
         charges = self.ledger.charges_since(self._start)
         total = self.ledger.clock.now - self._start_time
-        serialization = sum(c.seconds for c in charges if c.category in SERIALIZATION_CATEGORIES)
-        wasm_io = sum(c.seconds for c in charges if c.category is CostCategory.WASM_IO)
-        transfer = sum(c.seconds for c in charges if c.category in _TRANSFER_CATEGORIES)
-        cpu_user = sum(c.seconds for c in charges if c.cpu_domain is CpuDomain.USER)
-        cpu_kernel = sum(c.seconds for c in charges if c.cpu_domain is CpuDomain.KERNEL)
-        copied = sum(c.nbytes for c in charges if c.copied)
-        referenced = sum(c.nbytes for c in charges if not c.copied and c.nbytes)
-        syscalls = sum(c.units for c in charges if c.category is CostCategory.SYSCALL)
-        switches = sum(1 for c in charges if c.category is CostCategory.CONTEXT_SWITCH)
-        breakdown: Dict[str, float] = {}
+        # One pass over the window.  Each float total collects its operands
+        # in charge order and is summed with sum() (compensated from Python
+        # 3.12 on), exactly as a filtered sum() over the window would be;
+        # the breakdowns keep their running left-to-right additions.
+        parts: List[List[float]] = [[], [], []]
+        cpu_user: List[float] = []
+        cpu_kernel: List[float] = []
+        copied = referenced = syscalls = switches = 0
+        by_category: Dict[CostCategory, float] = {}
         node_seconds: Dict[str, float] = {}
+        part_of = _LATENCY_PART.get
+        user, kernel = CpuDomain.USER, CpuDomain.KERNEL
+        syscall, context_switch = CostCategory.SYSCALL, CostCategory.CONTEXT_SWITCH
         for c in charges:
-            breakdown[c.category.value] = breakdown.get(c.category.value, 0.0) + c.seconds
-            node_seconds[c.node] = node_seconds.get(c.node, 0.0) + c.seconds
-        return TransferMetrics(
-            mode=self.mode,
-            payload_bytes=self.payload_bytes,
-            total_latency_s=total,
-            serialization_s=serialization,
-            wasm_io_s=wasm_io,
-            transfer_s=transfer,
-            cpu_user_s=cpu_user,
-            cpu_kernel_s=cpu_kernel,
-            copied_bytes=copied,
-            reference_bytes=referenced,
-            syscalls=syscalls,
-            context_switches=switches,
-            peak_memory_mb=self.ledger.peak_memory_mb(),
-            breakdown=breakdown,
-            node_seconds=node_seconds,
+            category = c.category
+            seconds = c.seconds
+            part = part_of(category)
+            if part is not None:
+                parts[part].append(seconds)
+            domain = c.cpu_domain
+            if domain is user:
+                cpu_user.append(seconds)
+            elif domain is kernel:
+                cpu_kernel.append(seconds)
+            if c.copied:
+                copied += c.nbytes
+            else:
+                referenced += c.nbytes
+            if category is syscall:
+                syscalls += c.units
+            elif category is context_switch:
+                switches += 1
+            by_category[category] = by_category.get(category, 0.0) + seconds
+            node_seconds[c.node] = node_seconds.get(c.node, 0.0) + seconds
+        # TransferMetrics validates nothing, so from_fields builds exactly
+        # what TransferMetrics(**fields) would.
+        return from_fields(
+            TransferMetrics,
+            {
+                "mode": self.mode,
+                "payload_bytes": self.payload_bytes,
+                "total_latency_s": total,
+                "serialization_s": sum(parts[0]),
+                "wasm_io_s": sum(parts[1]),
+                "transfer_s": sum(parts[2]),
+                "cpu_user_s": sum(cpu_user),
+                "cpu_kernel_s": sum(cpu_kernel),
+                "copied_bytes": copied,
+                "reference_bytes": referenced,
+                "syscalls": syscalls,
+                "context_switches": switches,
+                "peak_memory_mb": self.ledger.peak_memory_mb(),
+                "breakdown": {
+                    _CATEGORY_NAME[category]: seconds
+                    for category, seconds in by_category.items()
+                },
+                "node_seconds": node_seconds,
+            }
         )

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
+
+from repro.frozen import from_fields
 
 
 class PayloadError(ValueError):
@@ -96,11 +98,16 @@ class Payload:
         """A size-only payload used for large modeled experiments."""
         if size < 0:
             raise PayloadError("size must be non-negative")
-        return cls(
-            size=size,
-            data=None,
-            fingerprint=_fingerprint_virtual(size, seed),
-            content_type=content_type,
+        fingerprint = _fingerprint_virtual(size, seed)
+        return from_fields(
+            cls,
+            {
+                "size": size,
+                "data": None,
+                "fingerprint": fingerprint,
+                "content_type": content_type,
+                "origin_fingerprint": fingerprint,
+            },
         )
 
     # -- predicates --------------------------------------------------------------
@@ -122,19 +129,29 @@ class Payload:
         """
         if size < 0:
             raise PayloadError("size must be non-negative")
-        return Payload(
-            size=size,
-            data=None,
-            fingerprint="derived-%s-%d" % (self.origin_fingerprint, size),
-            content_type=self.content_type,
-            origin_fingerprint=self.origin_fingerprint,
+        return from_fields(
+            Payload,
+            {
+                "size": size,
+                "data": None,
+                "fingerprint": "derived-%s-%d" % (self.origin_fingerprint, size),
+                "content_type": self.content_type,
+                "origin_fingerprint": self.origin_fingerprint,
+            },
         )
 
     def copy(self) -> "Payload":
         """A physical copy (same contents, same fingerprint)."""
-        if self.data is not None:
-            return replace(self, data=bytes(self.data))
-        return replace(self)
+        return from_fields(
+            type(self),
+            {
+                "size": self.size,
+                "data": None if self.data is None else bytes(self.data),
+                "fingerprint": self.fingerprint,
+                "content_type": self.content_type,
+                "origin_fingerprint": self.origin_fingerprint,
+            },
+        )
 
     def crc(self) -> int:
         """A quick integrity checksum (0 for virtual payloads)."""

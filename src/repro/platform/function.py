@@ -16,6 +16,10 @@ from repro.payload import Payload
 from repro.wasm.runtime import RuntimeKind
 
 
+#: Runtimes that package a function as a Wasm module.
+_WASM_RUNTIMES = (RuntimeKind.WASMEDGE, RuntimeKind.ROADRUNNER)
+
+
 class FunctionSpecError(ValueError):
     """Raised for invalid function definitions."""
 
@@ -48,7 +52,7 @@ class FunctionSpec:
 
     @property
     def is_wasm(self) -> bool:
-        return self.runtime in (RuntimeKind.WASMEDGE, RuntimeKind.ROADRUNNER)
+        return self.runtime in _WASM_RUNTIMES
 
     def renamed(self, name: str) -> "FunctionSpec":
         """A copy with a different name (used when fanning out replicas)."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.frozen import from_fields
 from repro.metrics.records import TransferMetrics
 from repro.payload import Payload
 from repro.platform.channel import DataPassingChannel, TransferOutcome
@@ -141,30 +142,52 @@ def _combine(
     """Aggregate per-edge metrics into one workflow-level record."""
     if not outcomes:
         raise InvokerError("cannot combine zero outcomes")
+    # One pass over the edges; each float total is summed with sum() over
+    # its per-edge values in edge order (compensated from Python 3.12 on).
     breakdown: Dict[str, float] = {}
     node_seconds: Dict[str, float] = {}
+    serialization: List[float] = []
+    wasm_io: List[float] = []
+    transfer: List[float] = []
+    cpu_user: List[float] = []
+    cpu_kernel: List[float] = []
+    peaks: List[float] = []
+    copied = referenced = syscalls = switches = 0
     for outcome in outcomes:
-        for key, value in outcome.metrics.breakdown.items():
+        m = outcome.metrics
+        for key, value in m.breakdown.items():
             breakdown[key] = breakdown.get(key, 0.0) + value
         # Per-node attribution survives aggregation: each edge already knows
         # which ledger shards its charges landed on.
-        for node, value in outcome.metrics.node_seconds.items():
+        for node, value in m.node_seconds.items():
             node_seconds[node] = node_seconds.get(node, 0.0) + value
-    metrics = [o.metrics for o in outcomes]
-    return TransferMetrics(
-        mode=mode,
-        payload_bytes=payload_bytes,
-        total_latency_s=total_latency_s,
-        serialization_s=sum(m.serialization_s for m in metrics),
-        wasm_io_s=sum(m.wasm_io_s for m in metrics),
-        transfer_s=sum(m.transfer_s for m in metrics),
-        cpu_user_s=sum(m.cpu_user_s for m in metrics),
-        cpu_kernel_s=sum(m.cpu_kernel_s for m in metrics),
-        copied_bytes=sum(m.copied_bytes for m in metrics),
-        reference_bytes=sum(m.reference_bytes for m in metrics),
-        syscalls=sum(m.syscalls for m in metrics),
-        context_switches=sum(m.context_switches for m in metrics),
-        peak_memory_mb=max(m.peak_memory_mb for m in metrics),
-        breakdown=breakdown,
-        node_seconds=node_seconds,
+        serialization.append(m.serialization_s)
+        wasm_io.append(m.wasm_io_s)
+        transfer.append(m.transfer_s)
+        cpu_user.append(m.cpu_user_s)
+        cpu_kernel.append(m.cpu_kernel_s)
+        peaks.append(m.peak_memory_mb)
+        copied += m.copied_bytes
+        referenced += m.reference_bytes
+        syscalls += m.syscalls
+        switches += m.context_switches
+    return from_fields(
+        TransferMetrics,
+        {
+            "mode": mode,
+            "payload_bytes": payload_bytes,
+            "total_latency_s": total_latency_s,
+            "serialization_s": sum(serialization),
+            "wasm_io_s": sum(wasm_io),
+            "transfer_s": sum(transfer),
+            "cpu_user_s": sum(cpu_user),
+            "cpu_kernel_s": sum(cpu_kernel),
+            "copied_bytes": copied,
+            "reference_bytes": referenced,
+            "syscalls": syscalls,
+            "context_switches": switches,
+            "peak_memory_mb": max(peaks),
+            "breakdown": breakdown,
+            "node_seconds": node_seconds,
+        }
     )

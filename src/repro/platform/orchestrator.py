@@ -45,7 +45,7 @@ class Orchestrator:
         for index, spec in enumerate(specs):
             if placement and spec.name in placement:
                 node = placement[spec.name]
-                if node not in self.cluster.nodes:
+                if node not in nodes:
                     raise PlacementError("placement maps %r to unknown node %r" % (spec.name, node))
             else:
                 node = nodes[index % len(nodes)]

@@ -9,9 +9,11 @@ has a single, auditable source.
 
 from __future__ import annotations
 
+import math
+
 
 class ClockError(ValueError):
-    """Raised when the clock is advanced by a negative duration."""
+    """Raised when the clock is set or advanced by an invalid duration."""
 
 
 class SimClock:
@@ -20,8 +22,8 @@ class SimClock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ClockError("clock cannot start before t=0, got %r" % start)
+        if not 0 <= start < math.inf:
+            raise ClockError("clock must start at a finite t >= 0, got %r" % (start,))
         self._now = float(start)
 
     @property
@@ -31,8 +33,10 @@ class SimClock:
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time."""
-        if seconds < 0:
-            raise ClockError("cannot advance clock by negative duration %r" % seconds)
+        if not 0 <= seconds < math.inf:
+            raise ClockError(
+                "clock advances by a finite, non-negative duration, got %r" % (seconds,)
+            )
         self._now += seconds
         return self._now
 
@@ -71,8 +75,8 @@ class SimClock:
 
     def reset(self, start: float = 0.0) -> None:
         """Reset the clock, e.g. between benchmark iterations."""
-        if start < 0:
-            raise ClockError("clock cannot be reset before t=0, got %r" % start)
+        if not 0 <= start < math.inf:
+            raise ClockError("clock must be reset to a finite t >= 0, got %r" % (start,))
         self._now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -23,10 +23,12 @@ unit test) keeps using the plain :class:`CostLedger` it always did.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+import math
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.frozen import from_fields
 from repro.sim.clock import SimClock
 
 
@@ -48,6 +50,11 @@ class CostCategory(enum.Enum):
     COMPUTE = "compute"
     OTHER = "other"
 
+    # Identity hashing in C: ``Enum.__hash__`` hashes the member name in
+    # Python, and the ledger keys dicts by category on every charge.  Members
+    # are singletons (pickling included), so identity is the right equality.
+    __hash__ = object.__hash__
+
 
 #: Categories counted as "serialization overhead" in the paper's plots.
 SERIALIZATION_CATEGORIES = (CostCategory.SERIALIZATION, CostCategory.DESERIALIZATION)
@@ -61,9 +68,28 @@ class CpuDomain(enum.Enum):
     #: Work that consumes wall time but no local CPU (e.g. wire propagation).
     NONE = "none"
 
+    __hash__ = object.__hash__  # see CostCategory
+
+
+# Module-level aliases: member lookups on an Enum class run Python code
+# before Python 3.12, and these are read for every charge folded.
+_SYSCALL = CostCategory.SYSCALL
+_CONTEXT_SWITCH = CostCategory.CONTEXT_SWITCH
+_NO_CPU = CpuDomain.NONE
+
 
 class LedgerError(ValueError):
     """Raised for invalid charges."""
+
+
+def _check_charge(seconds: float, nbytes: int, units: int) -> None:
+    """Raise :class:`LedgerError` unless a charge's quantities are valid."""
+    if not 0 <= seconds < math.inf:
+        raise LedgerError("charge duration must be finite and non-negative, got %r" % (seconds,))
+    if nbytes < 0:
+        raise LedgerError("charge nbytes must be non-negative, got %r" % (nbytes,))
+    if units < 1:
+        raise LedgerError("charge units must be >= 1, got %r" % (units,))
 
 
 @dataclass(frozen=True)
@@ -86,12 +112,7 @@ class Charge:
     seq: int = 0
 
     def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise LedgerError("charge duration must be non-negative, got %r" % self.seconds)
-        if self.nbytes < 0:
-            raise LedgerError("charge nbytes must be non-negative, got %r" % self.nbytes)
-        if self.units < 1:
-            raise LedgerError("charge units must be >= 1, got %r" % self.units)
+        _check_charge(self.seconds, self.nbytes, self.units)
 
 
 class MemoryMeter:
@@ -174,15 +195,19 @@ class CostLedger:
         self._reference_bytes = 0
         self._syscalls = 0
         self._context_switches = 0
-        # Running totals, maintained in charge order so each equals the
+        # Running totals, folded in charge order so each equals the
         # equivalent left-to-right scan bit-for-bit.  They turn
         # total_seconds()/seconds(cat)/cpu_seconds() from O(charges) scans
         # into O(1) lookups — the scans were a hidden quadratic for callers
         # polling totals while charging (e.g. cold-start deltas per replica).
+        # charge() only appends; the first query after it folds the new
+        # charges in (see _fold), so the data path, which reads no totals,
+        # never pays for them.
         self._total_seconds = 0.0
         self._category_seconds: Dict[CostCategory, float] = {}
         self._domain_seconds: Dict[CpuDomain, float] = {}
         self._cpu_seconds_all = 0.0
+        self._folded = 0
 
     # -- recording -------------------------------------------------------------
 
@@ -206,48 +231,65 @@ class CostLedger:
         ``units`` records how many underlying operations the charge batches
         (e.g. chunked syscalls).
         """
-        entry = Charge(
-            category=category,
-            seconds=seconds,
-            cpu_domain=cpu_domain,
-            nbytes=nbytes,
-            copied=copied,
-            label=label,
-            timestamp=self.clock.now,
-            units=units,
-            node=self.node_name,
-            seq=len(self._charges),
+        if not (0 <= seconds < math.inf and nbytes >= 0 and units >= 1):
+            _check_charge(seconds, nbytes, units)  # raises, naming the field
+        clock = self.clock
+        charges = self._charges
+        entry = from_fields(
+            Charge,
+            {
+                "category": category,
+                "seconds": seconds,
+                "cpu_domain": cpu_domain,
+                "nbytes": nbytes,
+                "copied": copied,
+                "label": label,
+                "timestamp": clock.now,
+                "units": units,
+                "node": self.node_name,
+                "seq": len(charges),
+            },
         )
-        self._charges.append(entry)
-        self._account(entry)
+        charges.append(entry)
         if wall_time and seconds:
-            self.clock.advance(seconds)
-        if category is CostCategory.SYSCALL:
-            # charge() counts every batched unit; merge() folds the entry as
-            # one syscall (the pre-existing convention _account preserves).
-            self._syscalls += units - 1
+            clock.advance(seconds)
         return entry
 
-    def _account(self, entry: Charge) -> None:
+    def _fold(self) -> None:
+        """Fold the charges appended since the last query into the totals."""
+        charges = self._charges
+        account = self._account
+        for c in charges[self._folded:]:
+            # A charge counts every batched syscall unit (merge() below
+            # folds an adopted entry as one syscall).
+            account(c.category, c.seconds, c.cpu_domain, c.nbytes, c.copied, c.units)
+        self._folded = len(charges)
+
+    def _account(
+        self,
+        category: CostCategory,
+        seconds: float,
+        domain: CpuDomain,
+        nbytes: int,
+        copied: bool,
+        syscalls: int,
+    ) -> None:
         """Fold one charge into the running totals (in append order)."""
-        seconds = entry.seconds
-        category = entry.category
-        domain = entry.cpu_domain
         self._total_seconds += seconds
-        self._category_seconds[category] = (
-            self._category_seconds.get(category, 0.0) + seconds
-        )
-        self._domain_seconds[domain] = self._domain_seconds.get(domain, 0.0) + seconds
-        if domain is not CpuDomain.NONE:
+        by_category = self._category_seconds
+        by_category[category] = by_category.get(category, 0.0) + seconds
+        by_domain = self._domain_seconds
+        by_domain[domain] = by_domain.get(domain, 0.0) + seconds
+        if domain is not _NO_CPU:
             self._cpu_seconds_all += seconds
-        if entry.nbytes:
-            if entry.copied:
-                self._copied_bytes += entry.nbytes
+        if nbytes:
+            if copied:
+                self._copied_bytes += nbytes
             else:
-                self._reference_bytes += entry.nbytes
-        if category is CostCategory.SYSCALL:
-            self._syscalls += 1
-        if category is CostCategory.CONTEXT_SWITCH:
+                self._reference_bytes += nbytes
+        if category is _SYSCALL:
+            self._syscalls += syscalls
+        elif category is _CONTEXT_SWITCH:
             self._context_switches += 1
 
     def count_syscalls(self, count: int) -> None:
@@ -285,12 +327,14 @@ class CostLedger:
 
     def total_seconds(self) -> float:
         """Total simulated wall time of all charges."""
+        self._fold()
         return self._total_seconds
 
     def seconds(self, *categories: CostCategory) -> float:
         if len(categories) == 1:
             # The running per-category total accumulates in exactly the order
             # a filtered scan would visit, so the fast path is bit-identical.
+            self._fold()
             return self._category_seconds.get(categories[0], 0.0)
         # Multiple categories interleave in the charge stream; summing the
         # per-category totals would reassociate the float additions, so keep
@@ -302,6 +346,7 @@ class CostLedger:
         return self.seconds(*SERIALIZATION_CATEGORIES)
 
     def cpu_seconds(self, domain: Optional[CpuDomain] = None) -> float:
+        self._fold()
         if domain is None:
             return self._cpu_seconds_all
         return self._domain_seconds.get(domain, 0.0)
@@ -309,24 +354,28 @@ class CostLedger:
     @property
     def copied_bytes(self) -> int:
         """Bytes that were physically copied."""
+        self._fold()
         return self._copied_bytes
 
     @property
     def reference_bytes(self) -> int:
         """Bytes moved by reference (zero-copy paths)."""
+        self._fold()
         return self._reference_bytes
 
     @property
     def syscalls(self) -> int:
+        self._fold()
         return self._syscalls
 
     @property
     def context_switches(self) -> int:
+        self._fold()
         return self._context_switches
 
     def peak_memory_bytes(self) -> int:
         """Sum of per-sandbox memory peaks."""
-        return sum(m.peak_bytes for m in self._meters.values())
+        return sum([meter._peak for meter in self._meters.values()])
 
     def peak_memory_mb(self) -> float:
         return self.peak_memory_bytes() / (1024.0 * 1024.0)
@@ -338,6 +387,7 @@ class CostLedger:
         """Seconds per category name (stable keys for reports)."""
         # _category_seconds shares both the first-seen key order and the
         # per-key accumulation order of the old full scan.
+        self._fold()
         return {
             category.value: seconds
             for category, seconds in self._category_seconds.items()
@@ -345,9 +395,11 @@ class CostLedger:
 
     def merge(self, other: "CostLedger") -> None:
         """Fold another ledger's charges into this one (no clock interaction)."""
+        self._fold()
         for c in other.charges:
             self._charges.append(c)
-            self._account(c)
+            self._account(c.category, c.seconds, c.cpu_domain, c.nbytes, c.copied, 1)
+        self._folded = len(self._charges)
         for name, meter in other.meters().items():
             mine = self.meter(name)
             mine.allocate(meter.peak_bytes)
@@ -363,6 +415,7 @@ class CostLedger:
         self._category_seconds.clear()
         self._domain_seconds.clear()
         self._cpu_seconds_all = 0.0
+        self._folded = 0
         self.clock.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -387,9 +440,8 @@ class LedgerSnapshot:
     positions: Tuple[Tuple[str, int], ...]
 
 
-def _merge_key(charge: Charge) -> Tuple[float, str, int]:
-    """The deterministic total order of the merged cluster timeline."""
-    return (charge.timestamp, charge.node, charge.seq)
+#: The deterministic total order of the merged cluster timeline.
+_merge_key = attrgetter("timestamp", "node", "seq")
 
 
 class NodeLedger(CostLedger):
@@ -457,6 +509,8 @@ class ClusterLedger:
             self._cluster_shard = CostLedger(clock=self.clock, name="%s:cluster" % name)
             self._cluster_shard.node_name = "cluster"
         self._shards: Dict[str, NodeLedger] = {}
+        #: The cluster shard, then the node shards in registration order.
+        self._every_shard: List[CostLedger] = [self._cluster_shard]
         self._merged_cache: Tuple[Charge, ...] = ()
         self._merged_cache_len = 0
 
@@ -471,6 +525,7 @@ class ClusterLedger:
         self._check_unique(node_name)
         shard = NodeLedger(node_name=node_name, clock=self.clock)
         self._shards[node_name] = shard
+        self._every_shard.append(shard)
         return shard
 
     def merge(self, *shards: NodeLedger) -> None:
@@ -488,6 +543,7 @@ class ClusterLedger:
             self._shards[shard.node_name] = shard
             if shard.clock is not self.clock:
                 self.clock.sync_to(shard.clock)
+        self._every_shard = [self._cluster_shard, *self._shards.values()]
 
     def _check_unique(self, node_name: str) -> None:
         if not node_name:
@@ -515,7 +571,7 @@ class ClusterLedger:
         return self._shards[node_name]
 
     def _all_shards(self) -> List[CostLedger]:
-        return [self._cluster_shard] + list(self._shards.values())
+        return self._every_shard
 
     # -- recording (cluster-scoped; the pre-shard CostLedger surface) -------------
 
@@ -537,7 +593,7 @@ class ClusterLedger:
         if total != self._merged_cache_len:
             merged: List[Charge] = []
             for shard in self._all_shards():
-                merged.extend(shard.charges)
+                merged.extend(shard._charges)
             merged.sort(key=_merge_key)
             self._merged_cache = tuple(merged)
             self._merged_cache_len = total
@@ -555,7 +611,7 @@ class ClusterLedger:
     def snapshot(self) -> LedgerSnapshot:
         return LedgerSnapshot(
             positions=tuple(
-                (shard.node_name, len(shard)) for shard in self._all_shards()
+                [(shard.node_name, len(shard._charges)) for shard in self._all_shards()]
             )
         )
 
@@ -567,7 +623,7 @@ class ClusterLedger:
         positions = dict(snapshot.positions)
         fresh: List[Charge] = []
         for shard in self._all_shards():
-            fresh.extend(shard.charges[positions.get(shard.node_name, 0):])
+            fresh.extend(shard._charges[positions.get(shard.node_name, 0):])
         fresh.sort(key=_merge_key)
         return tuple(fresh)
 
@@ -601,7 +657,7 @@ class ClusterLedger:
 
     def peak_memory_bytes(self) -> int:
         """Cluster RAM: per-node peaks aggregate (sum of shard peaks)."""
-        return sum(shard.peak_memory_bytes() for shard in self._all_shards())
+        return sum([shard.peak_memory_bytes() for shard in self._all_shards()])
 
     def peak_memory_mb(self) -> float:
         return self.peak_memory_bytes() / (1024.0 * 1024.0)

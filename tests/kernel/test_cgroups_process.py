@@ -85,3 +85,14 @@ def test_kernel_creates_processes_with_unique_pids_and_meters():
     assert kernel.process(a.pid) is a
     assert a.cgroup.memory.peak_bytes == 1000
     assert set(kernel.processes) == {a.pid, b.pid}
+
+
+@pytest.mark.parametrize("seconds", (float("nan"), float("inf"), float("-inf")))
+def test_cgroup_rejects_non_finite_cpu_charges(seconds):
+    cgroup = make_cgroup()
+    cgroup.charge_cpu(CpuDomain.USER, 0.5)
+    with pytest.raises(CgroupError):
+        cgroup.charge_cpu(CpuDomain.USER, seconds)
+    with pytest.raises(CgroupError):
+        cgroup.charge_cpu(CpuDomain.NONE, seconds)
+    assert cgroup.user_cpu_seconds == 0.5

@@ -51,3 +51,29 @@ def test_zero_advance_is_allowed():
     clock = SimClock()
     clock.advance(0.0)
     assert clock.now == 0.0
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("seconds", NON_FINITE)
+def test_clock_rejects_non_finite_advance(seconds):
+    clock = SimClock(start=1.0)
+    with pytest.raises(ClockError):
+        clock.advance(seconds)
+    # A rejected advance leaves the clock where it was.
+    assert clock.now == 1.0
+
+
+@pytest.mark.parametrize("start", NON_FINITE)
+def test_clock_rejects_non_finite_start(start):
+    with pytest.raises(ClockError):
+        SimClock(start=start)
+
+
+@pytest.mark.parametrize("start", NON_FINITE)
+def test_reset_rejects_non_finite_start(start):
+    clock = SimClock(start=3.0)
+    with pytest.raises(ClockError):
+        clock.reset(start=start)
+    assert clock.now == 3.0

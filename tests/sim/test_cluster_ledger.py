@@ -150,3 +150,44 @@ def test_reset_clears_every_shard_and_the_clock():
     assert len(cluster) == 0
     assert cluster.clock.now == 0.0
     assert cluster.total_seconds() == 0.0
+
+
+def _order(charges):
+    return [(charge.timestamp, charge.node, charge.seq) for charge in charges]
+
+
+def test_charges_since_merges_interleaved_shards_in_timeline_order():
+    cluster = ClusterLedger()
+    a = cluster.shard("a")
+    b = cluster.shard("b")
+    a.charge(CostCategory.SYSCALL, 0.1, label="before")
+    mark = cluster.snapshot()
+    b.charge(CostCategory.MEMCPY, 0.2, label="b0")
+    a.charge(CostCategory.MEMCPY, 0.0, label="a1", wall_time=False)
+    b.charge(CostCategory.MEMCPY, 0.0, label="b1", wall_time=False)
+    a.charge(CostCategory.TRANSFER, 0.3, label="a2")
+    b.charge(CostCategory.NETWORK, 0.1, label="b2")
+    fresh = cluster.charges_since(mark)
+    # a1, b1 and a2 share one instant: node, then sequence, break the tie.
+    assert [charge.label for charge in fresh] == ["b0", "a1", "a2", "b1", "b2"]
+    assert _order(fresh) == sorted(_order(fresh))
+    assert isinstance(fresh, tuple)
+
+
+def test_charges_since_orders_by_timestamp_across_a_clock_reset():
+    cluster = ClusterLedger()
+    a = cluster.shard("a")
+    b = cluster.shard("b")
+    mark = cluster.snapshot()
+    a.charge(CostCategory.SYSCALL, 1.0, label="a-late")
+    b.charge(CostCategory.SYSCALL, 1.0, label="b-late")
+    # The shared clock restarts: charges recorded after the reset carry
+    # earlier timestamps than b's first one, so b's own append order is not
+    # the timeline order.
+    cluster.clock.reset(start=0.5)
+    b.charge(CostCategory.MEMCPY, 0.25, label="b-early")
+    a.charge(CostCategory.MEMCPY, 0.0, label="a-early", wall_time=False)
+    fresh = cluster.charges_since(mark)
+    assert [charge.label for charge in fresh] == ["a-late", "b-early", "a-early", "b-late"]
+    assert _order(fresh) == [(0.0, "a", 0), (0.5, "b", 1), (0.75, "a", 1), (1.0, "b", 0)]
+    assert fresh == cluster.charges

@@ -1,5 +1,7 @@
 """Unit tests for the cost ledger and memory meters."""
 
+import pickle
+
 import pytest
 
 from repro.sim.clock import SimClock
@@ -10,6 +12,7 @@ from repro.sim.ledger import (
     CpuDomain,
     LedgerError,
     MemoryMeter,
+    NodeLedger,
 )
 
 
@@ -163,3 +166,74 @@ def test_shared_clock_is_respected():
     ledger = CostLedger(clock=clock)
     ledger.charge(CostCategory.NETWORK, 1.0)
     assert clock.now == pytest.approx(4.0)
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("seconds", NON_FINITE)
+def test_charge_rejects_non_finite_durations(seconds):
+    ledger = CostLedger()
+    with pytest.raises(LedgerError):
+        ledger.charge(CostCategory.MEMCPY, seconds)
+    # Nothing was recorded, and the clock and totals stay finite.
+    assert len(ledger) == 0
+    assert ledger.clock.now == 0.0
+    assert ledger.total_seconds() == 0.0
+
+
+@pytest.mark.parametrize("seconds", NON_FINITE)
+def test_charge_record_rejects_non_finite_durations(seconds):
+    with pytest.raises(LedgerError):
+        Charge(category=CostCategory.MEMCPY, seconds=seconds)
+
+
+def test_charge_rejects_zero_units():
+    ledger = CostLedger()
+    with pytest.raises(LedgerError):
+        ledger.charge(CostCategory.SYSCALL, 0.1, units=0)
+    assert len(ledger) == 0
+
+
+def test_recorded_charge_equals_a_directly_built_one():
+    clock = SimClock(start=2.0)
+    ledger = NodeLedger("node-a", clock=clock)
+    ledger.charge(CostCategory.TRANSFER, 0.5)
+    recorded = ledger.charge(
+        CostCategory.SYSCALL,
+        0.25,
+        cpu_domain=CpuDomain.KERNEL,
+        nbytes=64,
+        copied=True,
+        label="write",
+        units=3,
+    )
+    built = Charge(
+        category=CostCategory.SYSCALL,
+        seconds=0.25,
+        cpu_domain=CpuDomain.KERNEL,
+        nbytes=64,
+        copied=True,
+        label="write",
+        timestamp=2.5,
+        units=3,
+        node="node-a",
+        seq=1,
+    )
+    assert recorded == built
+    assert hash(recorded) == hash(built)
+    assert repr(recorded) == repr(built)
+    assert vars(recorded) == vars(built)
+    with pytest.raises(AttributeError):
+        recorded.seconds = 1.0  # type: ignore[misc]
+
+
+@pytest.mark.parametrize("enum_type", (CostCategory, CpuDomain))
+def test_ledger_enums_survive_pickling_as_dict_keys(enum_type):
+    table = {member: index for index, member in enumerate(enum_type)}
+    restored = pickle.loads(pickle.dumps(list(enum_type)))
+    for member, copy in zip(enum_type, restored):
+        assert copy is member
+        assert hash(copy) == hash(member)
+        assert table[copy] == table[member]
+    assert pickle.loads(pickle.dumps(table)) == table
